@@ -15,9 +15,9 @@ Exit codes: 0 success / inequality holds, 1 inequality violated,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 from . import golden
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -37,22 +37,15 @@ from .errors import (
     SingularMatrixError,
 )
 from .hw import InequalityReport, hw_check, hw_report, hw_type_check
-from .matio import (
-    emit_report,
-    load_document,
-    matrix_digest,
-    polynomial_digest,
-    report_to_obj,
-)
-from .qmatrix import QMatrix, diagonalize, condition_number, standard_eigenvalues
+from .matio import emit_report, load_document, matrix_digest, polynomial_digest
+from .qmatrix import condition_number, diagonalize, standard_eigenvalues
 from .qpoly import (
     QMatrixPolynomial,
     bound_check_commuting_disc,
     bound_check_doubly_stochastic,
     bound_check_unitary,
     companion,
-    diagonalizable_companion_linear,
-    diagonalizable_companion_quadratic_unitary,
+    diagonalizable_companion,
     hw_type_poly,
     standard_eigenvalues_poly,
 )
@@ -80,19 +73,16 @@ _NUMERIC_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """One record holding everything a command run depends on.
+    """Settings shared by every command: tolerances and output format.
 
-    With a fixed seed, machine-format reports are byte-identical across
-    runs on the same platform and inputs.
+    Machine-format reports are byte-identical across runs on the same
+    platform and inputs (for ``fuzz``, with the same ``--seed``).
     """
 
     tolerances: Tolerances
     fmt: str = "human"
-    trials: int = 50
-    seed: int = 0
-    suite: str = "all"
 
 
 def format_complex(z: complex) -> str:
@@ -246,17 +236,7 @@ def cmd_hw(args, config: RunConfig) -> int:
     else:
         digests = {"a": matrix_digest(doc_a), "b": matrix_digest(doc_b)}
         report = hw_type_check(doc_a, doc_b, tols) if args.typed else hw_check(doc_a, doc_b, tols)
-    report = InequalityReport(
-        kind=report.kind,
-        lhs=report.lhs,
-        rhs=report.rhs,
-        holds=report.holds,
-        slack=report.slack,
-        permutation=report.permutation,
-        kappa=report.kappa,
-        theorem_class=report.theorem_class,
-        digests=digests,
-    )
+    report = dataclasses.replace(report, digests=digests)
     _print_report(report, config.fmt)
     return EXIT_OK if report.holds else EXIT_VIOLATED
 
@@ -306,55 +286,31 @@ def cmd_diag(args, config: RunConfig) -> int:
     tols = config.tolerances
     doc = load_document(args.path)
     if isinstance(doc, QMatrixPolynomial):
-        if doc.degree == 1:
-            outcome = diagonalizable_companion_linear(doc, tols)
-        else:
-            try:
-                outcome = diagonalizable_companion_quadratic_unitary(doc, tols)
-            except PreconditionViolatedError:
-                diag = diagonalize(companion(doc, tols).matrix, tols)
-                outcome = None
-                values, kappa, residual, klass = (
-                    diag.values,
-                    condition_number(diag.transform, tols),
-                    diag.residual,
-                    "none",
-                )
-        if outcome is not None:
-            if not outcome.diagonalizable:
-                raise NotDiagonalizableError(
-                    "companion matrix is not diagonalizable (no guaranteeing class)"
-                )
-            values, kappa, residual, klass = (
-                outcome.values,
-                outcome.kappa,
-                outcome.residual,
-                outcome.klass,
+        result = diagonalizable_companion(doc, tols)
+        if not result.diagonalizable:
+            raise NotDiagonalizableError(
+                "companion matrix is not diagonalizable (no guaranteeing class)"
             )
+        kappa, klass = result.kappa, result.klass
     else:
-        diag = diagonalize(doc, tols)
-        values, kappa, residual, klass = (
-            diag.values,
-            condition_number(diag.transform, tols),
-            diag.residual,
-            None,
-        )
+        result = diagonalize(doc, tols)
+        kappa, klass = condition_number(result.transform, tols), None
     if config.fmt == "machine":
         print(
             json.dumps(
                 {
-                    "values": [[z.real, z.imag] for z in values],
+                    "values": [[z.real, z.imag] for z in result.values],
                     "kappa": kappa,
-                    "residual": residual,
+                    "residual": result.residual,
                     "class": klass,
                 },
                 sort_keys=True,
             )
         )
     else:
-        print("eigenvalues:", ", ".join(format_complex(z) for z in values))
+        print("eigenvalues:", ", ".join(format_complex(z) for z in result.values))
         print(f"kappa: {kappa:.12g}")
-        print(f"residual: {residual:.3e}")
+        print(f"residual: {result.residual:.3e}")
         if klass is not None:
             print(f"class: {klass}")
     return EXIT_OK
@@ -455,12 +411,12 @@ def _fuzz_trials(suite: str, trials: int, seed: int, tols: Tolerances) -> dict:
 
 
 def cmd_fuzz(args, config: RunConfig) -> int:
-    summary = _fuzz_trials(config.suite, config.trials, config.seed, config.tolerances)
+    summary = _fuzz_trials(args.suite, args.trials, args.seed, config.tolerances)
     total_violations = sum(s["violations"] for s in summary.values())
     if config.fmt == "machine":
         print(
             json.dumps(
-                {"seed": config.seed, "suites": summary, "violations": total_violations},
+                {"seed": args.seed, "suites": summary, "violations": total_violations},
                 sort_keys=True,
             )
         )
@@ -485,13 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(
-            tolerances=_parse_tols(args.tol),
-            fmt=args.format,
-            trials=getattr(args, "trials", 50),
-            seed=getattr(args, "seed", 0),
-            suite=getattr(args, "suite", "all"),
-        )
+        config = RunConfig(tolerances=_parse_tols(args.tol), fmt=args.format)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -117,24 +117,20 @@ def random_normal_qmatrix(
 
 
 def random_diagonalizable_qmatrix(
-    rng: np.random.Generator, n: int, max_attempts: int = 20
+    rng: np.random.Generator, n: int
 ) -> tuple[QMatrix, QMatrix, list[complex]]:
-    """Random diagonalizable quaternion matrix A = X D X^-1 with modest kappa."""
-    from .qmatrix import condition_number
+    """Random diagonalizable quaternion matrix A = X D X^-1 with modest kappa.
 
-    for _ in range(max_attempts):
-        x = random_qmatrix(rng, n)
-        try:
-            kappa = condition_number(x)
-        except Exception:
-            continue
-        if kappa < 50.0:
-            values = upper_half_values(rng, n)
-            from .qmatrix import inverse
-
-            a = x @ QMatrix.diagonal(values) @ inverse(x)
-            return a, x, values
-    raise RuntimeError("failed to draw a well-conditioned eigenvector matrix")
+    X = U diag(s) V^H for random unitaries U, V and singular values s drawn
+    from [1, 10), so kappa(X) = max(s) / min(s) < 10 at every order.
+    """
+    u = random_unitary_qmatrix(rng, n)
+    v = random_unitary_qmatrix(rng, n)
+    s = rng.uniform(1.0, 10.0, n)
+    x = u @ QMatrix.from_real(np.diag(s)) @ v.h
+    x_inv = v @ QMatrix.from_real(np.diag(1.0 / s)) @ u.h
+    values = upper_half_values(rng, n)
+    return x @ QMatrix.diagonal(values) @ x_inv, x, values
 
 
 def random_permutation_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     LengthMismatchError,
     MalformedPairingError,
-    NotDiagonalizableError,
     NotNormalError,
     ShapeMismatchError,
 )

@@ -139,10 +139,6 @@ def polynomial_digest(p: QMatrixPolynomial) -> str:
 # -- report serialization ------------------------------------------------------
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def report_to_obj(report: InequalityReport) -> dict:
     obj = {
         "kind": report.kind,

@@ -273,10 +273,17 @@ def spectral_norm(a: QMatrix) -> float:
 
 
 def inverse(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> QMatrix:
-    """Inverse through the adjoint embedding: chi(A^-1) = chi(A)^-1."""
+    """Inverse through the adjoint embedding: chi(A^-1) = chi(A)^-1.
+
+    Raises SingularMatrixError when A is singular or so ill-conditioned that
+    the computed chi(A)^-1 leaves the adjoint image.
+    """
     if not a.is_square:
         raise ShapeMismatchError("only square matrices have inverses")
-    return from_adjoint(clinalg.inverse(adjoint(a), pivot_tol=tols.pivot), tol=1e-8)
+    try:
+        return from_adjoint(clinalg.inverse(adjoint(a), pivot_tol=tols.pivot), tol=1e-8)
+    except ShapeMismatchError as exc:
+        raise SingularMatrixError(str(exc)) from exc
 
 
 def condition_number(x: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> float:

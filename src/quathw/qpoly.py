@@ -30,9 +30,9 @@ from .errors import (
 )
 from .hw import InequalityReport, hw_report, min_cost_assignment
 from .qmatrix import (
-    Diagonalization,
     QMatrix,
     StandardSpectrum,
+    _fold_conjugate_spectrum,
     adjoint,
     condition_number,
     diagonalize,
@@ -178,7 +178,7 @@ def complex_companion(p: ComplexMatrixPolynomial, pivot_tol: float = 1e-13) -> n
 class SimilarityWitness:
     """Block permutation relating the companion routes.
 
-    ``permutation`` maps block-row r to the block column it selects in the
+    ``block_map`` maps block-row r to the block column it selects in the
     2m x 2m block grid (block size n); ``residual`` is
     ||chi(C_P) - P C(P_chi) P^T||_F, which is zero up to exact copies.
     """
@@ -199,11 +199,10 @@ def companion_similarity_witness(
     # block-row r (0-based) of P selects block column 2r for r < m and
     # 2(r-m)+1 for r >= m
     block_map = tuple(2 * r if r < m else 2 * (r - m) + 1 for r in range(2 * m))
-    size = 2 * m * n
-    perm = np.zeros((size, size))
-    for r, c in enumerate(block_map):
-        perm[r * n : (r + 1) * n, c * n : (c + 1) * n] = np.eye(n)
-    residual = float(np.linalg.norm(chi_cp - perm @ c_pchi @ perm.T, "fro"))
+    # row k of P is the unit vector e_idx[k], so P C P^T = C[idx][:, idx]
+    idx = np.concatenate([np.arange(c * n, (c + 1) * n) for c in block_map])
+    perm = np.eye(2 * m * n)[idx]
+    residual = float(np.linalg.norm(chi_cp - c_pchi[np.ix_(idx, idx)], "fro"))
     bound = tols.similarity_residual * (1.0 + float(np.linalg.norm(chi_cp, "fro")))
     if residual > bound:
         raise PairingFailureError(
@@ -230,7 +229,7 @@ def standard_eigenvalues_poly(
     w = clinalg.eigenvalues(c_pchi).values
     scale = max(comp.matrix.frobenius_norm(), 1.0)
     folded = sorted(
-        _fold_for_crosscheck(w, scale, tols), key=lambda z: (z.real, z.imag)
+        _fold_conjugate_spectrum(w, scale, tols)[0], key=lambda z: (z.real, z.imag)
     )
     worst = _max_matched_distance(spectrum.values, folded)
     if worst > 1e-6 * scale:
@@ -239,13 +238,6 @@ def standard_eigenvalues_poly(
             f"(matched distance {worst:.3e})"
         )
     return spectrum
-
-
-def _fold_for_crosscheck(w: np.ndarray, scale: float, tols: Tolerances) -> list[complex]:
-    from .qmatrix import _fold_conjugate_spectrum
-
-    reps, _ = _fold_conjugate_spectrum(w, scale, tols)
-    return reps
 
 
 def _max_matched_distance(a, b) -> float:
@@ -360,6 +352,12 @@ def bound_check_doubly_stochastic(
     return _bound_report("doubly-stochastic", moduli, 0.5, 2.0, True, tols)
 
 
+def _commutator(a: QMatrix, b: QMatrix, tols: Tolerances) -> tuple[float, bool]:
+    """||AB - BA||_F and whether it is within the commute tolerance."""
+    comm = (a @ b - b @ a).frobenius_norm()
+    return comm, comm <= tols.commute * (1.0 + a.frobenius_norm() * b.frobenius_norm())
+
+
 def bound_check_commuting_disc(
     p: QMatrixPolynomial,
     r: float | None = None,
@@ -375,9 +373,8 @@ def bound_check_commuting_disc(
     lower = p.coefficients[:-1]
     for i in range(len(lower)):
         for j in range(i + 1, len(lower)):
-            comm = (lower[i] @ lower[j] - lower[j] @ lower[i]).frobenius_norm()
-            scale = 1.0 + lower[i].frobenius_norm() * lower[j].frobenius_norm()
-            if comm > tols.commute * scale:
+            comm, commute = _commutator(lower[i], lower[j], tols)
+            if not commute:
                 raise PreconditionViolatedError(
                     f"coefficients {i} and {j} do not commute (residual {comm:.3e})"
                 )
@@ -412,10 +409,10 @@ class CompanionDiagonalizability:
 
     diagonalizable: bool
     klass: str                       # coefficient class that justified the claim
-    transform: QMatrix | None
-    values: tuple[complex, ...] | None
-    kappa: float | None
-    residual: float | None
+    transform: QMatrix | None = None  # the fields below are None when defective
+    values: tuple[complex, ...] | None = None
+    kappa: float | None = None
+    residual: float | None = None
 
 
 def _diagonal_coefficient_result(
@@ -434,13 +431,9 @@ def _diagonal_coefficient_result(
         q = comp[idx, idx]
         witnesses.append(similarity_witness(q))
         values.append(standard_representative(q))
-    x = QMatrix.diagonal(witnesses)
     order = sorted(range(n), key=lambda k: (values[k].real, values[k].imag))
-    perm = np.zeros((n, n))
-    for new, old in enumerate(order):
-        perm[old, new] = 1.0
-    perm_q = QMatrix.from_real(perm)
-    x = x @ perm_q
+    d = QMatrix.diagonal(witnesses)
+    x = QMatrix(d.c1[:, order], d.c2[:, order])  # columns in eigenvalue order
     values_sorted = tuple(values[k] for k in order)
     residual = (
         (inverse(x, tols) @ comp @ x) - QMatrix.diagonal(values_sorted)
@@ -456,30 +449,37 @@ def _diagonal_coefficient_result(
     )
 
 
-def diagonalizable_companion_linear(
-    p: QMatrixPolynomial, tols: Tolerances = DEFAULT_TOLERANCES
-) -> CompanionDiagonalizability:
-    """Classify a linear polynomial's coefficients and diagonalize its companion.
+def _classify_for_diagonalizability(p: QMatrixPolynomial, tols: Tolerances) -> str:
+    """First coefficient class that guarantees a diagonalizable companion, or "none".
 
-    Classes are tried in the order unitary, diagonal, positive (semi)definite;
-    each guarantees diagonalizability.  Outside these classes the raw
-    diagonalization outcome is reported with class "none" and no guarantee.
+    Degree 1 tries unitary, diagonal, then positive semidefinite coefficients;
+    degree 2 needs a monic polynomial with commuting unitary lower coefficients.
     """
-    if p.degree != 1:
-        raise NotLinearError(f"expected degree 1, got degree {p.degree}")
-    a0, a1 = p.coefficients
-    if is_unitary(a0, tols.predicate) and is_unitary(a1, tols.predicate):
-        klass = "unitary"
-    elif is_diagonal(a0) and is_diagonal(a1):
-        klass = "diagonal"
-    elif is_positive_semidefinite(a0, tols.predicate) and is_positive_semidefinite(
-        a1, tols.predicate
-    ):
-        klass = "psd"
-    else:
-        klass = "none"
+    if p.degree == 1:
+        a0, a1 = p.coefficients
+        if is_unitary(a0, tols.predicate) and is_unitary(a1, tols.predicate):
+            return "unitary"
+        if is_diagonal(a0) and is_diagonal(a1):
+            return "diagonal"
+        if is_positive_semidefinite(a0, tols.predicate) and is_positive_semidefinite(
+            a1, tols.predicate
+        ):
+            return "psd"
+        return "none"
+    if p.degree == 2 and p.is_monic(tol=1e-10):
+        u0, u1 = p.coefficients[0], p.coefficients[1]
+        if (
+            is_unitary(u0, tols.predicate)
+            and is_unitary(u1, tols.predicate)
+            and _commutator(u0, u1, tols)[1]
+        ):
+            return "commuting-unitary"
+    return "none"
 
-    comp = companion(p, tols).matrix
+
+def _diagonalize_companion(
+    comp: QMatrix, klass: str, tols: Tolerances
+) -> CompanionDiagonalizability:
     if klass == "diagonal":
         return _diagonal_coefficient_result(comp, tols)
     try:
@@ -487,23 +487,38 @@ def diagonalizable_companion_linear(
     except NotDiagonalizableError:
         if klass != "none":
             raise
-        return CompanionDiagonalizability(
-            diagonalizable=False,
-            klass=klass,
-            transform=None,
-            values=None,
-            kappa=None,
-            residual=None,
-        )
-    kappa = condition_number(diag.transform, tols)
+        return CompanionDiagonalizability(diagonalizable=False, klass=klass)
     return CompanionDiagonalizability(
         diagonalizable=True,
         klass=klass,
         transform=diag.transform,
         values=diag.values,
-        kappa=kappa,
+        kappa=condition_number(diag.transform, tols),
         residual=diag.residual,
     )
+
+
+def diagonalizable_companion(
+    p: QMatrixPolynomial, tols: Tolerances = DEFAULT_TOLERANCES
+) -> CompanionDiagonalizability:
+    """Classify the coefficients, then diagonalize the companion matrix.
+
+    A class other than "none" guarantees diagonalizability, so a defect
+    found under it raises NotDiagonalizableError.  Under class "none" the
+    raw outcome is reported, with ``diagonalizable=False`` for a defective
+    companion.
+    """
+    klass = _classify_for_diagonalizability(p, tols)
+    return _diagonalize_companion(companion(p, tols).matrix, klass, tols)
+
+
+def diagonalizable_companion_linear(
+    p: QMatrixPolynomial, tols: Tolerances = DEFAULT_TOLERANCES
+) -> CompanionDiagonalizability:
+    """:func:`diagonalizable_companion` restricted to linear polynomials."""
+    if p.degree != 1:
+        raise NotLinearError(f"expected degree 1, got degree {p.degree}")
+    return diagonalizable_companion(p, tols)
 
 
 def diagonalizable_companion_quadratic_unitary(
@@ -519,27 +534,16 @@ def diagonalizable_companion_quadratic_unitary(
         raise PreconditionViolatedError(f"expected degree 2, got degree {p.degree}")
     if not p.is_monic(tol=1e-10):
         raise PreconditionViolatedError("polynomial must be monic")
-    u0, u1 = p.coefficients[0], p.coefficients[1]
-    for name, u in (("constant", u0), ("linear", u1)):
-        if not is_unitary(u, tols.predicate):
-            raise PreconditionViolatedError(f"{name} coefficient is not unitary")
-    comm = (u0 @ u1 - u1 @ u0).frobenius_norm()
-    scale = 1.0 + u0.frobenius_norm() * u1.frobenius_norm()
-    if comm > tols.commute * scale:
+    klass = _classify_for_diagonalizability(p, tols)
+    if klass != "commuting-unitary":
+        u0, u1 = p.coefficients[0], p.coefficients[1]
+        for name, u in (("constant", u0), ("linear", u1)):
+            if not is_unitary(u, tols.predicate):
+                raise PreconditionViolatedError(f"{name} coefficient is not unitary")
         raise PreconditionViolatedError(
-            f"coefficients do not commute (residual {comm:.3e})"
+            f"coefficients do not commute (residual {_commutator(u0, u1, tols)[0]:.3e})"
         )
-    comp = companion(p, tols).matrix
-    diag = diagonalize(comp, tols)
-    kappa = condition_number(diag.transform, tols)
-    return CompanionDiagonalizability(
-        diagonalizable=True,
-        klass="commuting-unitary",
-        transform=diag.transform,
-        values=diag.values,
-        kappa=kappa,
-        residual=diag.residual,
-    )
+    return _diagonalize_companion(companion(p, tols).matrix, klass, tols)
 
 
 def hw_type_poly(
@@ -558,35 +562,17 @@ def hw_type_poly(
     klass = _classify_for_diagonalizability(p, tols)
     cp = companion(p, tols).matrix
     cq = companion(q, tols).matrix
-    diag = diagonalize(cp, tols)  # raises NotDiagonalizableError when defective
-    kappa = condition_number(diag.transform, tols)
+    outcome = _diagonalize_companion(cp, klass, tols)
+    if not outcome.diagonalizable:
+        raise NotDiagonalizableError(
+            "companion matrix of the first polynomial is not diagonalizable"
+        )
     return hw_report(
         cp,
         cq,
         tols,
         kind="hw-type-poly",
-        rhs_factor=kappa * kappa,
-        kappa=kappa,
+        rhs_factor=outcome.kappa * outcome.kappa,
+        kappa=outcome.kappa,
         theorem_class=klass,
     )
-
-
-def _classify_for_diagonalizability(p: QMatrixPolynomial, tols: Tolerances) -> str:
-    if p.degree == 1:
-        a0, a1 = p.coefficients
-        if is_unitary(a0, tols.predicate) and is_unitary(a1, tols.predicate):
-            return "unitary"
-        if is_diagonal(a0) and is_diagonal(a1):
-            return "diagonal"
-        if is_positive_semidefinite(a0, tols.predicate) and is_positive_semidefinite(
-            a1, tols.predicate
-        ):
-            return "psd"
-        return "none"
-    if p.degree == 2 and p.is_monic(tol=1e-10):
-        u0, u1 = p.coefficients[0], p.coefficients[1]
-        if is_unitary(u0, tols.predicate) and is_unitary(u1, tols.predicate):
-            comm = (u0 @ u1 - u1 @ u0).frobenius_norm()
-            if comm <= tols.commute * (1.0 + u0.frobenius_norm() * u1.frobenius_norm()):
-                return "commuting-unitary"
-    return "none"

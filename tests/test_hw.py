@@ -15,6 +15,7 @@ from quathw import (
     NotNormalError,
     QMatrix,
     assignment_cost,
+    condition_number,
     fold_conjugate_assignment,
     hw_check,
     hw_report,
@@ -282,6 +283,16 @@ class TestHwTypeCheck:
             b = random_qmatrix(rng, n)
             rep = hw_type_check(a, b)
             assert rep.holds, f"violated at trial {trial}: lhs={rep.lhs} rhs={rep.rhs}"
+
+    def test_generator_at_large_order(self):
+        # a Ginibre draw at this order seldom has kappa < 50
+        n = 48
+        for trial in range(3):
+            a, x, values = random_diagonalizable_qmatrix(rng_for(304, trial), n)
+            kappa = condition_number(x)
+            assert kappa < 50.0
+            residual = (a @ x - x @ QMatrix.diagonal(values)).frobenius_norm()
+            assert residual <= 1e-10 * a.frobenius_norm() * kappa
 
 
 class TestNonStandardCounterexample:

@@ -249,6 +249,18 @@ class TestCli:
         code = main(["diag", self.fixture("quadratic_unitary_q.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name", ["linear_normal_p.json", "linear_normal_q.json", "quadratic_unitary_p.json"]
+    )
+    def test_diag_polynomial_class(self, name, capsys):
+        # no guaranteeing coefficient class applies, yet each companion is
+        # diagonalizable, so the raw outcome is reported with class "none"
+        code = main(["--format", "machine", "diag", self.fixture(name)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["class"] == "none"
+        assert payload["residual"] <= 1e-12
+
     def test_paper_suite_passes(self, capsys):
         code = main(["--format", "machine", "paper-suite"])
         payload = json.loads(capsys.readouterr().out)

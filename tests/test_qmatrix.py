@@ -34,6 +34,13 @@ from quathw.generators import (
 from quathw.quaternion import I as QI, J as QJ, K as QK
 
 
+def similar_to_jordan_block():
+    """X J_3(2+i) X^-1 for a random quaternion X: defective, eigenvalue 2+i."""
+    x = random_qmatrix(rng_for(0), 3)
+    j3 = QMatrix.from_complex(np.diag([2 + 1j] * 3) + np.diag([1.0, 1.0], 1))
+    return x @ j3 @ inverse(x)
+
+
 def spectra_close(values, expected, tol=1e-9):
     got = [complex(z) for z in values]
     want = [complex(z) for z in expected]
@@ -241,6 +248,14 @@ class TestDiagonalize:
     def test_jordan_not_diagonalizable(self):
         with pytest.raises(NotDiagonalizableError):
             diagonalize(QMatrix.from_real([[2.0, 1.0], [0.0, 2.0]]))
+
+    def test_similar_to_jordan_block_not_diagonalizable(self):
+        # the computed eigenvector matrix is nearly singular, so its inverse
+        # leaves the adjoint image; that is a defect, not a shape error
+        a = similar_to_jordan_block()
+        with pytest.raises(NotDiagonalizableError):
+            diagonalize(a)
+        assert not is_diagonalizable(a)
 
     def test_hermitian_gives_unitary_transform(self):
         rng = rng_for(14, 0)

@@ -23,6 +23,7 @@ from quathw import (
     companion,
     companion_similarity_witness,
     complex_companion,
+    diagonalizable_companion,
     diagonalizable_companion_linear,
     diagonalizable_companion_quadratic_unitary,
     hw_type_poly,
@@ -42,7 +43,7 @@ from quathw.generators import (
 )
 from quathw.quaternion import I as QI, J as QJ, K as QK
 
-from test_qmatrix import spectra_close
+from test_qmatrix import similar_to_jordan_block, spectra_close
 
 SQRT2 = math.sqrt(2.0)
 
@@ -399,6 +400,34 @@ class TestDiagonalizableCompanionLinear:
         out = diagonalizable_companion_linear(p)
         assert not out.diagonalizable and out.klass == "none"
 
+    def test_similar_to_jordan_block_reports_false(self):
+        # X J_3(2+i) X^-1 with a random X: a defect found through an
+        # ill-conditioned eigenvector matrix, not a crash
+        a = similar_to_jordan_block()
+        out = diagonalizable_companion_linear(QMatrixPolynomial((-a, QMatrix.identity(3))))
+        assert not out.diagonalizable and out.klass == "none"
+
+
+class TestDiagonalizableCompanion:
+    def test_cubic_defective_reports_false(self):
+        out = diagonalizable_companion(cubic_unitary_noncommuting_defective())
+        assert not out.diagonalizable and out.klass == "none"
+        assert out.transform is None and out.kappa is None
+
+    def test_commuting_unitary_quadratic(self):
+        for trial in range(5):
+            rng = rng_for(413, trial)
+            n = 1 + trial % 3
+            u0, u1 = random_commuting_unitary_pair(rng, n)
+            out = diagonalizable_companion(QMatrixPolynomial((u0, u1, QMatrix.identity(n))))
+            assert out.diagonalizable and out.klass == "commuting-unitary"
+            assert out.residual <= 1e-10
+
+    def test_noncommuting_quadratic_has_no_class(self):
+        out = diagonalizable_companion(quadratic_unitary_p())
+        assert out.diagonalizable and out.klass == "none"
+        assert not diagonalizable_companion(quadratic_unitary_q()).diagonalizable
+
 
 class TestDiagonalizableCompanionQuadratic:
     def test_identity_coefficients(self):
@@ -509,3 +538,5 @@ class TestHwTypePoly:
     def test_defective_first_polynomial_rejected(self):
         with pytest.raises(NotDiagonalizableError):
             hw_type_poly(triangular_linear_defective(), linear_pair_q())
+        with pytest.raises(NotDiagonalizableError):
+            hw_type_poly(quadratic_unitary_q(), quadratic_unitary_p())
