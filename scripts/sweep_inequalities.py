@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from quathw import hw_check, hw_type_check
+from quathw.cli import positive_int
 from quathw.generators import (
     random_diagonalizable_qmatrix,
     random_normal_qmatrix,
@@ -49,7 +50,9 @@ def sweep(trials: int, seed: int) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=100, help="trials per order and suite")
+    parser.add_argument(
+        "--trials", type=positive_int, default=100, help="trials per order and suite"
+    )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     return sweep(args.trials, args.seed)

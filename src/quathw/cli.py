@@ -114,6 +114,17 @@ def _parse_tols(pairs: list[str]) -> Tolerances:
     return DEFAULT_TOLERANCES.replace(**overrides)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quathw",
@@ -168,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("paper-suite", help="replay the built-in reference examples")
 
     p_fuzz = sub.add_parser("fuzz", help="randomized property trials")
-    p_fuzz.add_argument("--trials", type=int, default=50)
+    p_fuzz.add_argument("--trials", type=positive_int, default=50)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument(
         "--suite",

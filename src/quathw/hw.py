@@ -1,7 +1,15 @@
 """Optimal eigenvalue matching and Hoffman-Wielandt inequality checks.
 
-The matching kernel is a Hungarian solver over the squared-modulus cost
-matrix, refined to the lexicographically smallest optimal permutation.
+The matching kernel solves min over permutations of sum |lam_i - mu_s(i)|^2
+with one potentials state: row and column duals, the column->row match and
+an active-column mask.  Shortest augmenting paths (Jonker & Volgenant 1987)
+give the optimum ``best``, each path step scanning a whole cost row as one
+numpy vector.  The returned permutation is the lexicographically smallest
+one whose cost is within ``tie * (1 + best)`` of the optimum: rows are fixed
+in order, and a column before a row's current match is tried only when its
+reduced cost allows it, by one augmenting path on a copy of the state.
+Tied optima therefore resolve exactly as exhaustive enumeration in
+lexicographic order with that slack would.
 ``fold_conjugate_assignment`` implements the constructive rearrangement
 that turns one permutation on 2n conjugate-duplicated values into two
 permutations on n values without increasing the total cost.
@@ -17,6 +25,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     LengthMismatchError,
     MalformedPairingError,
+    NonFiniteError,
     NotNormalError,
     ShapeMismatchError,
 )
@@ -51,75 +60,111 @@ class AssignmentResult:
         return tuple(j + 1 for j in self.permutation)
 
 
-def _hungarian(cost: np.ndarray) -> tuple[list[int], float]:
-    """Classic O(n^3) potentials algorithm; returns (row->col map, total)."""
-    n = cost.shape[0]
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: row matched to column j (1-based, 0 = free)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [_INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = _INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    perm = [0] * n
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
-    total = float(sum(cost[i][perm[i]] for i in range(n)))
-    return perm, total
+def _augment(
+    cost: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    col_row: np.ndarray,
+    active: np.ndarray,
+    row: int,
+) -> None:
+    """Match the free ``row`` by one shortest augmenting path, in place.
+
+    Dijkstra over the active columns on reduced costs ``cost - u - v``
+    (Jonker & Volgenant 1987; Crouse 2016): each step scans one row as a
+    numpy vector and stops at the first free column.  The duals are then
+    moved by the path lengths, so they stay feasible and tight on
+    ``col_row``, and the matching is optimal on the rows it covers.
+    """
+    n = v.shape[0]
+    dist = np.full(n, _INF)  # path length to each unscanned column
+    way = np.empty(n, dtype=int)  # previous column on the path, -1 = ``row``
+    closed = np.where(active, 0.0, _INF)  # inf on inactive and scanned columns
+    scanned: list[int] = []
+    reached: list[float] = []
+    i0, j0, base = row, -1, 0.0
+    while True:
+        cur = cost[i0] - v
+        cur += base - u[i0]
+        cur += closed
+        way[cur < dist] = j0
+        np.minimum(dist, cur, out=dist)
+        j0 = int(dist.argmin())  # first index on ties
+        base = float(dist[j0])
+        dist[j0] = closed[j0] = _INF
+        i0 = int(col_row[j0])
+        if i0 < 0:
+            break
+        scanned.append(j0)
+        reached.append(base)
+    u[row] += base
+    if scanned:
+        cols = np.array(scanned)
+        shift = base - np.array(reached)
+        u[col_row[cols]] += shift
+        v[cols] -= shift
+    while j0 >= 0:
+        j1 = int(way[j0])
+        col_row[j0] = row if j1 < 0 else col_row[j1]
+        j0 = j1
 
 
-def _lex_smallest_optimal(cost: np.ndarray, best: float, slack: float) -> list[int]:
-    """Among cost-optimal assignments pick the lexicographically smallest."""
+def _row_sum(
+    cost: np.ndarray, col_row: np.ndarray, active: np.ndarray, first: int
+) -> float:
+    """Cost of the matched rows ``first..n-1``, summed in row order."""
+    row_col = np.empty(cost.shape[0], dtype=int)
+    cols = np.flatnonzero(active)
+    row_col[col_row[cols]] = cols
+    rows = np.arange(first, cost.shape[0])
+    return float(sum(cost[rows, row_col[first:]].tolist()))
+
+
+def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
+    """Lexicographically smallest permutation within ``tie*(1+best)`` of the optimum.
+
+    One potentials state (row duals ``u``, column duals ``v``, the
+    column->row match and the active-column mask) serves both phases.  The
+    initial solve gives ``best``.  The refinement then fixes rows in order:
+    a candidate column ``j`` before row ``i``'s current match is tried only
+    if its reduced cost leaves it within the slack, on a copy of the state
+    with ``j`` deactivated and the displaced row re-matched by one
+    augmenting path.  Row ``i``'s current match is always within the slack.
+    """
     n = cost.shape[0]
-    avail = list(range(n))
+    u = np.zeros(n)
+    v = np.zeros(n)
+    col_row = np.full(n, -1)
+    active = np.ones(n, dtype=bool)
+    for i in range(n):
+        _augment(cost, u, v, col_row, active, i)
+    best = _row_sum(cost, col_row, active, 0)
+    slack = tie * (1.0 + abs(best))
+    # duals pick up rounding from every step; never let it prune a candidate
+    rounding = 4.0 * n * n * np.finfo(float).eps
     perm: list[int] = []
     fixed = 0.0
     for i in range(n):
-        chosen = None
-        for j in avail:
-            rest = 0.0
-            if i + 1 < n:
-                others = [c for c in avail if c != j]
-                sub = cost[np.ix_(range(i + 1, n), others)]
-                _, rest = _hungarian(sub)
+        current = int(np.flatnonzero(col_row == i)[0])
+        reduced = cost[i] - u[i] - v
+        bound = slack + rounding * (np.abs(cost[i]) + abs(u[i]) + np.abs(v))
+        chosen = current
+        for j in np.flatnonzero((active & (reduced <= bound))[:current]):
+            tu, tv, tcol_row, tactive = u.copy(), v.copy(), col_row.copy(), active.copy()
+            displaced = int(tcol_row[j])
+            tactive[j] = False
+            tcol_row[j] = tcol_row[current] = -1
+            _augment(cost, tu, tv, tcol_row, tactive, displaced)
+            rest = _row_sum(cost, tcol_row, tactive, i + 1)
             if fixed + cost[i][j] + rest <= best + slack:
-                chosen = j
+                chosen = int(j)
+                u, v, col_row, active = tu, tv, tcol_row, tactive
                 break
-        if chosen is None:  # numerical safety net; cannot happen with exact ties
-            chosen = avail[0]
+        if chosen == current:
+            active[current] = False
+            col_row[current] = -1
         perm.append(chosen)
         fixed += cost[i][chosen]
-        avail.remove(chosen)
     return perm
 
 
@@ -136,7 +181,9 @@ def min_cost_assignment(
     """Globally optimal matching of two spectra under squared-modulus cost.
 
     Ties between optimal permutations are broken toward the
-    lexicographically smallest one.
+    lexicographically smallest one; permutations within
+    ``tols.tie * (1 + best)`` of the optimum count as tied.  Raises
+    ``NonFiniteError`` on NaN or infinite values and on overflowing distances.
     """
     lam = [complex(z) for z in lam]
     mu = [complex(z) for z in mu]
@@ -147,9 +194,9 @@ def min_cost_assignment(
     # scalar expressions match any direct recomputation bit for bit, so the
     # optimum agrees exactly with exhaustive enumeration
     cost = np.array([[abs(l - m) ** 2 for m in mu] for l in lam], dtype=float)
-    _, best = _hungarian(cost)
-    slack = tols.tie * (1.0 + abs(best))
-    perm = _lex_smallest_optimal(cost, best, slack)
+    if not np.all(np.isfinite(cost)):
+        raise NonFiniteError("spectra contain NaN or infinite values, or distances overflow")
+    perm = _lex_min_cost_permutation(cost, tols.tie)
     total = assignment_cost(lam, mu, perm)
     return AssignmentResult(permutation=tuple(perm), cost=total, cost_matrix=cost)
 

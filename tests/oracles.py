@@ -49,6 +49,24 @@ def exhaustive_min_assignment(lam, mu) -> tuple[float, tuple[int, ...]]:
     return float(best_cost), best_perm
 
 
+def exhaustive_lex_within(lam, mu, tie: float) -> tuple[int, ...]:
+    """First permutation, in enumeration order, within tie*(1+best) of the optimum.
+
+    ``exhaustive_min_assignment`` keeps the first strict minimum, so rounding
+    in tied sums (``abs(-1+2j)**2`` is not exactly 5) can move its pick; this
+    oracle applies the same relative tie slack as the library.
+    """
+    lam = [complex(z) for z in lam]
+    mu = [complex(z) for z in mu]
+    n = len(lam)
+    costs = {
+        perm: sum(abs(lam[i] - mu[perm[i]]) ** 2 for i in range(n))
+        for perm in permutations(range(n))
+    }
+    best = min(costs.values())
+    return next(p for p, c in costs.items() if c <= best + tie * (1.0 + best))
+
+
 def det_cofactor(a: np.ndarray) -> complex:
     """Determinant by cofactor expansion along the first row (orders <= 6)."""
     a = np.asarray(a, dtype=complex)

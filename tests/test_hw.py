@@ -1,6 +1,9 @@
 """Assignment kernel, conjugate fold, and inequality checks."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -9,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quathw import (
+    DEFAULT_TOLERANCES,
     LengthMismatchError,
     MalformedPairingError,
+    NonFiniteError,
     NotDiagonalizableError,
     NotNormalError,
     QMatrix,
@@ -31,7 +36,7 @@ from quathw.generators import (
     upper_half_values,
 )
 
-from oracles import exhaustive_min_assignment
+from oracles import exhaustive_lex_within, exhaustive_min_assignment
 
 complex_values = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=8.0, allow_nan=False, allow_infinity=False
@@ -120,6 +125,30 @@ class TestMinCostAssignment:
         with pytest.raises(LengthMismatchError):
             min_cost_assignment([], [])
 
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [
+            ([float("nan"), 1.0], [0.0, 1.0]),
+            ([0.0, 1.0], [float("inf"), 1.0]),
+            ([complex(1.0, float("-inf"))], [0.0]),
+            ([1.7e308, 1.7e308], [-1.7e308, -1.7e308]),  # distances overflow
+        ],
+    )
+    def test_non_finite_spectra_rejected(self, lam, mu):
+        with pytest.raises(NonFiniteError):
+            min_cost_assignment(lam, mu)
+
+    def test_lattice_ties_match_tie_aware_oracle(self):
+        # Gaussian-integer spectra have many exactly tied optima
+        tie = DEFAULT_TOLERANCES.tie
+        for trial in range(200):
+            rng = rng_for(105, trial)
+            n = 1 + trial % 7
+            lam = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+            mu = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+            res = min_cost_assignment(lam, mu)
+            assert res.permutation == exhaustive_lex_within(lam, mu, tie)
+
     @given(
         st.lists(complex_values, min_size=1, max_size=5),
         st.data(),
@@ -132,6 +161,39 @@ class TestMinCostAssignment:
         res = min_cost_assignment(lam, mu)
         best_cost, _ = exhaustive_min_assignment(lam, mu)
         assert res.cost <= best_cost + 1e-12 * (1 + best_cost)
+
+
+class TestMinCostAssignmentLarge:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_cost_matches_scipy_optimum(self, n):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = rng_for(106, n)
+        lam = upper_half_values(rng, n)
+        mu = upper_half_values(rng, n)
+        res = min_cost_assignment(lam, mu)
+        rows, cols = linear_sum_assignment(res.cost_matrix)
+        best = float(res.cost_matrix[rows, cols].sum())
+        assert sorted(res.permutation) == list(range(n))
+        assert abs(res.cost - best) <= DEFAULT_TOLERANCES.tie * (1 + best)
+
+    def test_all_tied_returns_identity(self):
+        res = min_cost_assignment([1.0 + 1j] * 64, [2.0] * 64)
+        assert res.permutation == tuple(range(64))
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, quathw.cli; print('scipy.optimize' in sys.modules)",
+            ],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 def make_fold_inputs(mu, delta, sigma):

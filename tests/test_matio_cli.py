@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -276,6 +279,26 @@ class TestCli:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fuzz_rejects_non_positive_trials(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--trials", trials])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_sweep_script_rejects_zero_trials(self):
+        script = os.path.join(
+            os.path.dirname(__file__), os.pardir, "scripts", "sweep_inequalities.py"
+        )
+        out = subprocess.run(
+            [sys.executable, script, "--trials", "0"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 2
+        assert "positive integer" in out.stderr
 
     def test_tolerance_override_numeric_failure(self, tmp_path, capsys):
         # an absurdly tight pairing tolerance turns rounding into a numeric error
