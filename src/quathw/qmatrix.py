@@ -375,40 +375,153 @@ def _fold_conjugate_spectrum(
 ) -> tuple[list[complex], float]:
     """Pair the 2n eigenvalues of an adjoint with their conjugates.
 
-    Greedy nearest-conjugate matching, most-imaginary value first; each
-    pair contributes one representative with nonnegative imaginary part.
+    Greedy nearest-conjugate matching, most-imaginary value first (lowest
+    index on ties), its partner the nearest conjugate (lowest index on
+    ties); each pair contributes one representative with nonnegative
+    imaginary part.  The distances are one matrix up front, and the values
+    are visited in one fixed (-imag, index) order with consumed ones
+    skipped: removing values never changes the order of the rest, so every
+    choice is that of re-scanning the remaining values.  ``np.hypot`` rounds
+    exactly as ``abs`` of a complex scalar (``np.abs`` on complex arrays
+    does not, in the last bit), so ties and residuals come out bit for bit.
+    The input comes from either route of ``standard_eigenvalues``: the
+    general eigensolver, or for a normal A one Hermitian eigensolve of
+    H + tK (Bunse-Gerstner, Byers & Mehrmann 1993), accepted when its
+    dropped residual, which bounds the eigenvalue error by the
+    Hoffman-Wielandt theorem, is at most 64 * 2n * eps * ||chi||_F.
     """
     if len(w) % 2:
         raise PairingFailureError("adjoint spectrum has odd length")
     clamp = tols.clamp_imag * max(1.0, scale)
+    w = np.asarray(w, dtype=complex)
+    diff = w[np.newaxis, :] - w.conj()[:, np.newaxis]
+    dist = np.hypot(diff.real, diff.imag)  # dist[a, b] = |w[b] - conj(w[a])|
+    masked = dist.copy()  # consumed columns set to inf
     values = list(w)
-    alive = list(range(len(values)))
+    alive = [True] * len(values)
     reps: list[complex] = []
     residual = 0.0
-    while alive:
-        a = max(alive, key=lambda idx: (values[idx].imag, -idx))
-        alive.remove(a)
-        target = values[a].conjugate()
-        b = min(alive, key=lambda idx: (abs(values[idx] - target), idx))
-        alive.remove(b)
-        residual = max(residual, abs(values[b] - target))
+    for a in np.argsort(-w.imag, kind="stable").tolist():
+        if not alive[a]:
+            continue
+        alive[a] = False
+        masked[:, a] = np.inf
+        b = int(masked[a].argmin())  # first index on ties
+        if not alive[b]:  # every remaining distance overflowed to inf
+            b = alive.index(True)
+        alive[b] = False
+        masked[:, b] = np.inf
+        residual = max(residual, dist[a, b])
         avg = 0.5 * (values[a] + values[b].conjugate())
         im = abs(avg.imag)
         reps.append(complex(avg.real, 0.0 if im <= clamp else im))
     return reps, residual
 
 
-def standard_eigenvalues(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> StandardSpectrum:
+# golden-ratio weight of the skew-Hermitian part: no rational coincidences
+_PENCIL_T = (np.sqrt(5.0) - 1.0) / 2.0
+_COUPLING = 8.0    # |g_ij| above this * 2n * eps * ||chi||_F joins i and j
+_CERTIFICATE = 64.0  # accept when the dropped residual is below this * 2n * eps * ||chi||_F
+
+
+def _coupled_groups(coupled: np.ndarray) -> np.ndarray:
+    """Union-find label of each index, joining i and j where ``coupled[i, j]``."""
+    parent = list(range(coupled.shape[0]))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in np.argwhere(coupled).tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    return np.array([find(i) for i in range(len(parent))])
+
+
+def _normal_adjoint_eigenvalues(chi: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of a normal adjoint from one Hermitian eigensolve, or None.
+
+    The Hermitian part H and the skew-Hermitian part K of a normal chi
+    commute, so the eigenvectors V of H + tK diagonalize chi
+    (Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993): an eigenvalue
+    lambda of chi becomes Re(lambda) + t Im(lambda), and an irrational t
+    keeps distinct lambdas apart.  G = V^H chi V is then diagonal except
+    where eigh mixes vectors of distinct lambdas whose values of H + tK
+    (nearly) coincide.  Those indices are grouped through the entries of G
+    that couple them, and each group contributes the eigenvalues of its
+    principal submatrix.
+
+    The residual dropped is the mass of G outside the groups plus the
+    orthogonality defect of V times ||chi||_F.  G is unitarily similar to
+    the normal chi up to that defect, and the diagonal blocks of a normal
+    matrix are normal up to the square of the mass outside them, so by the
+    Hoffman-Wielandt theorem (Duke Math. J. 20, 1953) the matched
+    eigenvalue error is at most that residual, to first order.  Returns
+    None, and the caller falls back to the general eigensolver, when it
+    exceeds 64 * 2n * eps * ||chi||_F.  The test is relative, so scaling chi
+    by a power of two never changes the outcome.
+    """
+    m = chi.shape[0]
+    scale = float(np.linalg.norm(chi))
+    if not np.isfinite(scale):
+        return None
+    unit = m * np.finfo(float).eps * scale
+    half = (0.5 - 0.5j * _PENCIL_T) * chi  # H + tK = half + half^H
+    try:
+        _, v = np.linalg.eigh(half + half.conj().T)
+    except np.linalg.LinAlgError:  # pragma: no cover - rare in LAPACK
+        return None
+    g = v.conj().T @ (chi @ v)
+    coupled = np.abs(g) > _COUPLING * unit
+    np.fill_diagonal(coupled, False)
+    labels = _coupled_groups(coupled)
+    inside = labels[:, np.newaxis] == labels[np.newaxis, :]
+    outside = float(np.linalg.norm(np.where(inside, 0.0, g)))
+    defect = float(np.linalg.norm(v.conj().T @ v - np.eye(m)))
+    if not outside + defect * scale <= _CERTIFICATE * unit:
+        return None
+    values = np.diagonal(g).copy()
+    sizes = np.bincount(labels, minlength=m)
+    # the 2x2 groups in one stacked call
+    pairs = np.array([np.flatnonzero(labels == r) for r in np.flatnonzero(sizes == 2)])
+    if pairs.size:
+        values[pairs] = np.linalg.eigvals(g[pairs[:, :, np.newaxis], pairs[:, np.newaxis, :]])
+    for r in np.flatnonzero(sizes > 2):
+        idx = np.flatnonzero(labels == r)
+        values[idx] = np.linalg.eigvals(g[np.ix_(idx, idx)])
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def standard_eigenvalues(
+    a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES, *, normal: bool = False
+) -> StandardSpectrum:
     """Standard eigenvalues of a square quaternion matrix.
 
     Computes the spectrum of the complex adjoint and folds it into conjugate
     pairs.  Raises PairingFailureError when the fold exceeds the pairing
     tolerance, which signals eigensolver inaccuracy rather than bad input.
+
+    ``normal=True`` promises a normal A (``hw_check`` has checked it).  The
+    spectrum of chi(A) then comes from one Hermitian eigensolve of H + tK,
+    with H and K the Hermitian and skew-Hermitian parts of chi(A)
+    (Bunse-Gerstner, Byers & Mehrmann 1993; see
+    ``_normal_adjoint_eigenvalues``).  It is accepted only when the
+    residual it drops is at most 64 * 2n * eps * ||chi(A)||_F, which by the
+    Hoffman-Wielandt theorem bounds the eigenvalue error; it then agrees
+    with the general eigensolver to about 1e-15 ||A||_F.  Otherwise, and
+    always with ``normal=False``, the general eigensolver runs.  Both
+    spectra go through the same fold and pairing check.
     """
     _square(a)
     fro = a.frobenius_norm()
-    dec = clinalg.eigenvalues(adjoint(a))
-    reps, residual = _fold_conjugate_spectrum(dec.values, fro, tols)
+    chi = adjoint(a)
+    w = _normal_adjoint_eigenvalues(chi) if normal else None
+    if w is None:
+        w = clinalg.eigenvalues(chi).values
+    reps, residual = _fold_conjugate_spectrum(w, fro, tols)
     threshold = tols.pairing * max(fro, _TINY)
     if residual > threshold:
         raise PairingFailureError(
@@ -437,24 +550,12 @@ class Diagonalization:
 
 def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
     """Group eigenvalues whose pairwise chains stay within ``radius``."""
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    diff = values[:, np.newaxis] - values[np.newaxis, :]
+    # np.hypot rounds exactly as abs() of a complex scalar
+    labels = _coupled_groups(np.hypot(diff.real, diff.imag) <= radius)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
     return list(groups.values())
 
 

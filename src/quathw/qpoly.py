@@ -241,7 +241,11 @@ def standard_eigenvalues_poly(
 
 
 def _max_matched_distance(a, b) -> float:
-    """Smallest possible max pairwise distance under optimal matching."""
+    """Largest pairwise distance under the min-sum (squared) matching.
+
+    This is not the bottleneck optimum: a matching with a larger squared
+    sum can have a smaller largest distance.
+    """
     res = min_cost_assignment(list(a), list(b))
     return float(
         max(abs(complex(x) - complex(b[j])) for x, j in zip(a, res.permutation))

@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from quathw import Quaternion
+from quathw import PairingFailureError, Quaternion
 
 # multiplication table for the basis 1, i, j, k: entry (a, b) -> (sign, basis)
 _BASIS_TABLE = {
@@ -92,3 +92,55 @@ def multiset_max_distance(a, b) -> float:
         if best is None or worst < best:
             best = worst
     return float(best)
+
+
+def greedy_fold(w, scale: float, tols) -> tuple[list[complex], float]:
+    """Reference conjugate fold: the greedy scan over a shrinking list.
+
+    The most imaginary remaining value (lowest index on ties) takes the
+    remaining value nearest its conjugate (lowest index on ties); each pair
+    gives one representative with nonnegative imaginary part.
+    """
+    if len(w) % 2:
+        raise PairingFailureError("adjoint spectrum has odd length")
+    clamp = tols.clamp_imag * max(1.0, scale)
+    values = list(w)
+    alive = list(range(len(values)))
+    reps: list[complex] = []
+    residual = 0.0
+    while alive:
+        a = max(alive, key=lambda idx: (values[idx].imag, -idx))
+        alive.remove(a)
+        target = values[a].conjugate()
+        b = min(alive, key=lambda idx: (abs(values[idx] - target), idx))
+        alive.remove(b)
+        residual = max(residual, abs(values[b] - target))
+        avg = 0.5 * (values[a] + values[b].conjugate())
+        im = abs(avg.imag)
+        reps.append(complex(avg.real, 0.0 if im <= clamp else im))
+    return reps, residual
+
+
+def chain_clusters(values, radius: float) -> list[list[int]]:
+    """Index groups linked by chains of steps of at most ``radius``.
+
+    Breadth-first search from each unvisited index in increasing order;
+    groups come out in order of their smallest index, members ascending.
+    """
+    values = list(values)
+    seen = [False] * len(values)
+    groups = []
+    for start in range(len(values)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        group, frontier = [start], [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(len(values)):
+                if not seen[j] and abs(values[i] - values[j]) <= radius:
+                    seen[j] = True
+                    group.append(j)
+                    frontier.append(j)
+        groups.append(sorted(group))
+    return groups

@@ -28,6 +28,7 @@ from quathw import (
     min_cost_assignment,
     non_standard_counterexample,
 )
+from quathw import clinalg
 from quathw.generators import (
     random_diagonalizable_qmatrix,
     random_normal_qmatrix,
@@ -132,6 +133,7 @@ class TestMinCostAssignment:
             ([0.0, 1.0], [float("inf"), 1.0]),
             ([complex(1.0, float("-inf"))], [0.0]),
             ([1.7e308, 1.7e308], [-1.7e308, -1.7e308]),  # distances overflow
+            ([1e160], [0.0]),  # finite distance, its square overflows
         ],
     )
     def test_non_finite_spectra_rejected(self, lam, mu):
@@ -285,6 +287,22 @@ class TestHwCheck:
         a, _ = random_normal_qmatrix(rng, 3)
         rep = hw_check(a, a)
         assert rep.holds and rep.lhs <= 1e-18 and rep.rhs == 0.0
+
+    def test_normal_operands_skip_general_eigensolver(self, monkeypatch):
+        calls = []
+        general_eigenvalues = clinalg.eigenvalues
+        monkeypatch.setattr(
+            clinalg, "eigenvalues", lambda m: calls.append(m.shape) or general_eigenvalues(m)
+        )
+        rng = rng_for(301, 0)
+        a, _ = random_normal_qmatrix(rng, 16)
+        b, _ = random_normal_qmatrix(rng, 16)
+        fast = hw_check(a, b)
+        assert calls == []
+        general = hw_report(a, b)
+        assert len(calls) == 2
+        assert fast.permutation == general.permutation
+        assert fast.lhs == pytest.approx(general.lhs, rel=1e-12)
 
     def test_rejects_non_normal(self):
         a = QMatrix.from_real([[0.0, 1.0], [0.0, 0.0]])

@@ -218,6 +218,13 @@ class TestCli:
         assert code == 2
         assert "precondition" in err
 
+    def test_hw_typed_overflowing_distance_is_numeric_failure(self, tmp_path, capsys):
+        big = write_json(tmp_path, "big.json", matrix_to_obj(QMatrix.from_real([[1e160]])))
+        zero = write_json(tmp_path, "zero.json", matrix_to_obj(QMatrix.from_real([[0.0]])))
+        code = main(["hw", "--type", big, zero])
+        assert code == 4
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_identical_files_zero_lhs(self, capsys):
         path = self.fixture("linear_normal_p.json")
         code = main(["--format", "machine", "hw", path, path])
@@ -299,6 +306,26 @@ class TestCli:
         )
         assert out.returncode == 2
         assert "positive integer" in out.stderr
+
+    def test_cli_matrix_script(self, capsys):
+        import importlib.util
+
+        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "cli_matrix.py")
+        spec = importlib.util.spec_from_file_location("cli_matrix", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        runs = module.matrix(module.fixture_names())
+        assert len(runs) == 340
+        assert len({tuple(r) for r in runs}) == 340
+        cwd = os.getcwd()
+        assert module.main(["--limit", "2"]) == 0
+        assert os.getcwd() == cwd
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ", 3)[3].split() for line in lines] == runs[:2]
+        for line in lines:
+            code, out_sha, err_sha, _ = line.split(" ", 3)
+            assert code == "0"
+            assert len(out_sha) == len(err_sha) == 64
 
     def test_tolerance_override_numeric_failure(self, tmp_path, capsys):
         # an absurdly tight pairing tolerance turns rounding into a numeric error

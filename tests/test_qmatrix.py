@@ -22,7 +22,7 @@ from quathw import (
     spectral_norm,
     standard_eigenvalues,
 )
-from quathw import clinalg
+from quathw import DEFAULT_TOLERANCES, clinalg
 from quathw.generators import (
     random_hermitian_qmatrix,
     random_normal_qmatrix,
@@ -31,7 +31,10 @@ from quathw.generators import (
     random_unitary_qmatrix,
     rng_for,
 )
+from quathw.qmatrix import _PENCIL_T, _cluster_indices, _fold_conjugate_spectrum
 from quathw.quaternion import I as QI, J as QJ, K as QK
+
+from oracles import chain_clusters, greedy_fold
 
 
 def similar_to_jordan_block():
@@ -222,6 +225,128 @@ class TestStandardEigenvalues:
         assert spectra_close(spec.values, values, tol=1e-8 * max(1.0, a.frobenius_norm()))
 
 
+def fold_corpus(count):
+    """``count`` even-length spectra, cycling through six kinds that stress
+    the fold's tie rules and its real-axis clamp; each with a scale."""
+    for trial in range(count):
+        rng = rng_for(120, trial)
+        kind = trial % 6
+        m = 2 * (1 + (trial // 6) % 12)
+
+        def gaussian(size):
+            return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+        if kind == 0:  # random values
+            w = gaussian(m)
+        elif kind == 1:  # Gaussian-integer lattice: exact ties everywhere
+            w = rng.integers(-2, 3, m) + 1j * rng.integers(-2, 3, m)
+        elif kind == 2:  # exact duplicates
+            w = rng.choice(gaussian(max(1, m // 4)), m)
+        elif kind == 3:  # conjugate pairs with 1e-15 noise, shuffled
+            z = gaussian(m // 2)
+            w = rng.permutation(np.concatenate([z, z.conj() + 1e-15 * gaussian(m // 2)]))
+        elif kind == 4:  # near-real values around the clamp
+            w = rng.standard_normal(m) + 1j * 1e-10 * rng.standard_normal(m)
+        else:  # magnitudes scaled by 1e+-8
+            w = gaussian(m) * 10.0 ** rng.choice([-8, 8])
+        w = np.asarray(w, dtype=complex)
+        yield w, float(np.sqrt(0.5) * np.linalg.norm(w))
+
+
+class TestConjugateFold:
+    def test_matches_greedy_oracle_bit_for_bit(self):
+        for w, scale in fold_corpus(3000):
+            reps, residual = _fold_conjugate_spectrum(w, scale, DEFAULT_TOLERANCES)
+            want_reps, want_residual = greedy_fold(w, scale, DEFAULT_TOLERANCES)
+            # repr also tells apart signed zeros
+            assert [repr(z) for z in reps] == [repr(z) for z in want_reps]
+            assert float(residual) == float(want_residual)
+
+
+@pytest.fixture
+def general_eigensolves(monkeypatch):
+    """Record every call of the general (zgeev) eigensolver."""
+    calls = []
+    real = clinalg.eigenvalues
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(clinalg, "eigenvalues", counting)
+    return calls
+
+
+def normal_with_values(seed, values):
+    u = random_unitary_qmatrix(rng_for(seed), len(values))
+    return u @ QMatrix.diagonal(values) @ u.h
+
+
+class TestNormalRoute:
+    """``standard_eigenvalues(a, normal=True)``: one Hermitian eigensolve of
+    H + tK, accepted on its residual certificate, else the general route."""
+
+    def check_accepted(self, a, calls, tol=1e-13):
+        fast = standard_eigenvalues(a, normal=True)
+        assert calls == []
+        general = standard_eigenvalues(a)
+        assert spectra_close(fast.values, general.values, tol=tol * a.frobenius_norm())
+        return fast
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64, 128])
+    def test_agrees_with_general_route(self, n, general_eigensolves):
+        a, values = random_normal_qmatrix(rng_for(130, n), n)
+        fast = self.check_accepted(a, general_eigensolves)
+        assert spectra_close(fast.values, values, tol=1e-12 * a.frobenius_norm())
+
+    def test_real_eigenvalues_of_multiplicity_one_to_four(self, general_eigensolves):
+        values = [0.5, -1.25, -1.25, 2.0, 2.0, 2.0, 0.75, 0.75, 0.75, 0.75, 1 + 1j]
+        a = normal_with_values(131, values)
+        fast = self.check_accepted(a, general_eigensolves)
+        assert spectra_close(fast.values, values, tol=1e-13 * a.frobenius_norm())
+        assert sum(z.imag == 0.0 for z in fast.values) == 10
+
+    def test_repeated_complex_values(self, general_eigensolves):
+        values = [1 + 1j] * 3 + [-2 + 0.5j] * 2 + [0.3j, 0.3j, 1.5]
+        a = normal_with_values(132, values)
+        fast = self.check_accepted(a, general_eigensolves)
+        assert spectra_close(fast.values, values, tol=1e-13 * a.frobenius_norm())
+
+    def test_coinciding_pencil_values_are_grouped(self, general_eigensolves):
+        # Re + t Im is 1 + t for the first two values and 0.5 for the rest, so
+        # eigh of H + tK returns mixed eigenvectors: a 2x2 and a 3x3 group
+        t = _PENCIL_T
+        values = [1 + 1j, complex(1 - t, 2), 0.5, complex(0.5 - 0.25 * t, 0.25), -1.5]
+        a = normal_with_values(135, values)
+        fast = self.check_accepted(a, general_eigensolves)
+        assert spectra_close(fast.values, values, tol=1e-13 * a.frobenius_norm())
+
+    def test_zero_matrix(self, general_eigensolves):
+        spec = standard_eigenvalues(QMatrix.zeros(4), normal=True)
+        assert general_eigensolves == []
+        assert spec.values == (0j,) * 4
+        assert spec.pairing_residual == 0.0
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_scaled_input_still_accepted(self, k, general_eigensolves):
+        a, _ = random_normal_qmatrix(rng_for(133, k + 40), 16)
+        self.check_accepted(a * 2.0**k, general_eigensolves)
+
+    def test_nearly_normal_input_takes_general_route(self, general_eigensolves):
+        # a 1e-12 relative perturbation leaves couplings below the grouping
+        # threshold whose mass is 1.35-1.55 times the certificate (seeds
+        # 134-143): the non-normal part cannot be dropped
+        rng = rng_for(134)
+        a, _ = random_normal_qmatrix(rng, 64)
+        a = a * (1.0 / a.frobenius_norm())
+        e = random_qmatrix(rng, 64)
+        b = a + e * (1e-12 / e.frobenius_norm())
+        assert is_normal(b)
+        spec = standard_eigenvalues(b, normal=True)
+        assert len(general_eigensolves) == 1
+        assert spec == standard_eigenvalues(b)
+
+
 class TestPredicates:
     def test_golden_cases(self):
         assert is_normal(QMatrix.from_complex(np.diag([1 + 1j, 1.0])))
@@ -240,6 +365,19 @@ class TestPredicates:
 
 
 class TestDiagonalize:
+    def test_clusters_match_chain_oracle(self):
+        # lattice values at radii equal to lattice distances: exact ties
+        for trial in range(600):
+            rng = rng_for(140, trial)
+            m = 2 * (1 + trial % 10)
+            if trial % 2:
+                w = (rng.integers(-2, 3, m) + 1j * rng.integers(-2, 3, m)).astype(complex)
+                radius = float(rng.choice([0.0, 1.0, np.sqrt(2.0), 2.0]))
+            else:
+                w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                radius = float(10.0 ** rng.uniform(-2, 0))
+            assert _cluster_indices(w, radius) == chain_clusters(w, radius)
+
     def test_j_k_diagonal(self):
         d = diagonalize(QMatrix.diagonal([QJ, QK]))
         assert spectra_close(d.values, [1j, 1j], tol=1e-10)
