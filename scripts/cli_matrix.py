@@ -14,7 +14,6 @@ The matrix is both output formats times: ``eigs``, ``diag`` and
 ``fuzz --trials 8 --seed 3``.  With the 8 bundled fixtures that is 340 runs.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -23,7 +22,6 @@ import warnings
 from importlib import resources
 
 from quathw import cli
-from quathw.cli import positive_int
 
 
 def fixture_dir():
@@ -76,20 +74,21 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--limit", type=positive_int, default=None, help="run only the first N")
-    args = parser.parse_args(argv)
-    runs = matrix(fixture_names())[: args.limit]
+def run_all(runs: list[list[str]]) -> None:
+    """Print one line per run, running from inside the fixture directory."""
     with resources.as_file(fixture_dir()) as folder:
         cwd = os.getcwd()
         os.chdir(folder)
         try:
-            for run_argv in runs:
-                code, out, err = run(run_argv)
-                print(f"{code} {_sha(out)} {_sha(err)} {' '.join(run_argv)}")
+            for argv in runs:
+                code, out, err = run(argv)
+                print(f"{code} {_sha(out)} {_sha(err)} {' '.join(argv)}")
         finally:
             os.chdir(cwd)
+
+
+def main() -> int:
+    run_all(matrix(fixture_names()))
     return 0
 
 

@@ -485,11 +485,7 @@ def _normal_adjoint_eigenvalues(chi: np.ndarray) -> np.ndarray | None:
         return None
     values = np.diagonal(g).copy()
     sizes = np.bincount(labels, minlength=m)
-    # the 2x2 groups in one stacked call
-    pairs = np.array([np.flatnonzero(labels == r) for r in np.flatnonzero(sizes == 2)])
-    if pairs.size:
-        values[pairs] = np.linalg.eigvals(g[pairs[:, :, np.newaxis], pairs[:, np.newaxis, :]])
-    for r in np.flatnonzero(sizes > 2):
+    for r in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == r)
         values[idx] = np.linalg.eigvals(g[np.ix_(idx, idx)])
     return values[np.lexsort((values.imag, values.real))]

@@ -31,7 +31,12 @@ from quathw.generators import (
     random_unitary_qmatrix,
     rng_for,
 )
-from quathw.qmatrix import _PENCIL_T, _cluster_indices, _fold_conjugate_spectrum
+from quathw.qmatrix import (
+    _COUPLING,
+    _PENCIL_T,
+    _cluster_indices,
+    _fold_conjugate_spectrum,
+)
 from quathw.quaternion import I as QI, J as QJ, K as QK
 
 from oracles import chain_clusters, greedy_fold
@@ -333,14 +338,18 @@ class TestNormalRoute:
         self.check_accepted(a * 2.0**k, general_eigensolves)
 
     def test_nearly_normal_input_takes_general_route(self, general_eigensolves):
-        # a 1e-12 relative perturbation leaves couplings below the grouping
-        # threshold whose mass is 1.35-1.55 times the certificate (seeds
-        # 134-143): the non-normal part cannot be dropped
+        # B = U (D + N) U^H with D real and N strictly upper triangular, every
+        # entry of N at 0.75 of the coupling threshold: G's off-diagonal
+        # entries are (1 + it)/2 times N's (about 0.44 of the threshold), so
+        # none are grouped, and their mass is about 5 times the certificate
+        n = 64
         rng = rng_for(134)
-        a, _ = random_normal_qmatrix(rng, 64)
-        a = a * (1.0 / a.frobenius_norm())
-        e = random_qmatrix(rng, 64)
-        b = a + e * (1e-12 / e.frobenius_norm())
+        u = random_unitary_qmatrix(rng, n)
+        d = np.linspace(-1.0, 1.0, n)
+        unit = 2 * n * np.finfo(float).eps * np.sqrt(2.0) * np.linalg.norm(d)
+        phases = np.exp(2j * np.pi * rng.random((n, n)))
+        upper = QMatrix.from_complex(np.triu(0.75 * _COUPLING * unit * phases, 1))
+        b = u @ (QMatrix.diagonal(list(d)) + upper) @ u.h
         assert is_normal(b)
         spec = standard_eigenvalues(b, normal=True)
         assert len(general_eigensolves) == 1
