@@ -18,12 +18,8 @@ class Tolerances:
     against ``tol * (1 + scale)`` where scale is a norm of the input.
     """
 
-    scalar: float = 1e-10            # quaternion scalar comparisons (absolute)
     predicate: float = 1e-8          # normal / unitary / Hermitian / psd residuals
-    hermitian_input: float = 1e-10   # symmetry precondition of the Hermitian solver
-    rank: float = 1e-10              # singular values below rank*sigma_max count as zero
-    pivot: float = 1e-13             # LU pivot threshold relative to the Frobenius norm
-    eig_residual: float = 1e-8       # max accepted eigenpair residual
+    pivot: float = 1e-13             # LU pivot and sigma_min floor, relative to the Frobenius norm
     pairing: float = 1e-6            # conjugate-pair fold radius, relative to ||A||_F
     clamp_imag: float = 1e-10        # |Im| below this (times scale) snaps to the real axis
     diag_cluster: float = 1e-6       # eigenvalue clustering radius for multiplicity analysis

@@ -319,7 +319,6 @@ def hw_report(
     b: QMatrix,
     tols: Tolerances = DEFAULT_TOLERANCES,
     kind: str = "hw",
-    rhs_factor: float = 1.0,
     kappa: float | None = None,
     theorem_class: str | None = None,
     *,
@@ -330,13 +329,14 @@ def hw_report(
     Used directly to *demonstrate* failures on inputs that do not satisfy a
     theorem's hypotheses (for example non-normal block companion matrices).
     ``normal`` is passed on to ``standard_eigenvalues`` for both operands.
+    A ``kappa`` weights the bound: rhs is kappa^2 ||A - B||_F^2.
     """
     if a.shape != b.shape or not a.is_square:
         raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
     lam = standard_eigenvalues(a, tols, normal=normal)
     mu = standard_eigenvalues(b, tols, normal=normal)
     match = min_cost_assignment(lam.values, mu.values, tols)
-    rhs = rhs_factor * (a - b).frobenius_norm() ** 2
+    rhs = (1.0 if kappa is None else kappa * kappa) * (a - b).frobenius_norm() ** 2
     return InequalityReport(
         kind=kind,
         lhs=match.cost,
@@ -382,9 +382,7 @@ def hw_type_check(
         raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
     diag = diagonalize(a, tols)  # raises NotDiagonalizableError
     kappa = condition_number(diag.transform, tols)
-    return hw_report(
-        a, b, tols, kind="hw-type", rhs_factor=kappa * kappa, kappa=kappa
-    )
+    return hw_report(a, b, tols, kind="hw-type", kappa=kappa)
 
 
 # -- the built-in non-standard right-eigenvalue demonstration ----------------

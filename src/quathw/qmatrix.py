@@ -287,8 +287,20 @@ def inverse(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> QMatrix:
 
 
 def condition_number(x: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Spectral condition number ||X||_2 ||X^-1||_2 (1 exactly for unitary X)."""
-    return spectral_norm(x) * spectral_norm(inverse(x, tols))
+    """Spectral condition number ||X||_2 ||X^-1||_2 (1 for unitary X).
+
+    chi preserves products and the spectral norm, so kappa(X) is
+    sigma_max / sigma_min of chi(X), read from one SVD.  Raises
+    SingularMatrixError when sigma_min <= pivot * ||chi(X)||_F.
+    """
+    _square(x)
+    s = clinalg.singular_values(adjoint(x))
+    threshold = tols.pivot * float(np.linalg.norm(s))  # ||chi(X)||_F
+    if not s[-1] > threshold:
+        raise SingularMatrixError(
+            f"smallest singular value {s[-1]:.3e} of chi(X) is at most {threshold:.3e}"
+        )
+    return float(s[0] / s[-1])
 
 
 # -- structural predicates --------------------------------------------------
@@ -326,13 +338,6 @@ def is_positive_semidefinite(a: QMatrix, tol: float = 1e-8) -> bool:
         return False
     w = clinalg.hermitian_eigenvalues(adjoint(a), sym_tol=max(tol, 1e-10))
     return bool(w[0] >= -tol * (1.0 + a.frobenius_norm()))
-
-def is_positive_definite(a: QMatrix, tol: float = 1e-8) -> bool:
-    _square(a)
-    if not is_hermitian(a, tol):
-        return False
-    w = clinalg.hermitian_eigenvalues(adjoint(a), sym_tol=max(tol, 1e-10))
-    return bool(w[0] > tol * (1.0 + a.frobenius_norm()))
 
 
 def is_invertible(a: QMatrix, tol: float = 1e-10) -> bool:
@@ -577,6 +582,12 @@ def _kernel_basis(
     return vh[len(s) - want :].conj().T
 
 
+def _cluster_values(w: np.ndarray, fro: float, tols: Tolerances) -> list[complex]:
+    """Sorted fold representatives of a cluster's adjoint eigenvalues: its
+    columns span its eigenspace but need not be eigenvectors of one value."""
+    return sorted(_fold_conjugate_spectrum(w, fro, tols)[0], key=lambda z: (z.real, z.imag))
+
+
 def _symplectic_partner(v: np.ndarray) -> np.ndarray:
     """For chi(A) v = lam v this vector satisfies chi(A) p = conj(lam) p."""
     n = len(v) // 2
@@ -591,21 +602,29 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
     columns from a symplectically paired basis of each eigenspace.  Raises
     NotDiagonalizableError when some eigenvalue is defective or the
     reconstruction fails verification.
+
+    The clusters decide only the eigenspace extraction: the values are the
+    fold representatives of each cluster's adjoint eigenvalues (a complex
+    cluster's with its partner's), as in ``standard_eigenvalues``.
+
+    One SVD serves a conjugate pair of clusters.  For every eigenvector v of
+    chi(A) at lam, J conj(v) is one at conj(lam) (F. Zhang, LAA 251, 1997):
+    chi(A) - conj(lam) I = J conj(chi(A) - lam I) J^T with J = [[0, I],
+    [-I, 0]], exactly, so the mirrored shift has the same singular values:
+    its kernel check is this one's with the partner's spread, hence the min.
     """
     _square(a)
     n = a.rows
     chi = adjoint(a)
     fro = a.frobenius_norm()
     scale = max(1.0, fro)
-    dec = clinalg.eigen_full(chi)
-    w = dec.values
+    w = clinalg.eigenvalues(chi).values
 
     radius = tols.diag_cluster * scale
     clusters = _cluster_indices(w, radius)
     eye = np.eye(2 * n, dtype=complex)
 
-    cols1: list[np.ndarray] = []
-    cols2: list[np.ndarray] = []
+    vecs: list[np.ndarray] = []  # the chi-vector behind each quaternion column
     dvals: list[complex] = []
     clamp = tols.clamp_imag * scale
 
@@ -624,13 +643,11 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
         center = info["center"]
         alg = len(info["idx"])
         if abs(center.imag) <= clamp:
-            # real eigenvalue: quaternionic eigenspace has even dimension
+            # real eigenvalue: quaternionic eigenspace has even dimension,
+            # and the fold raises PairingFailureError on an odd one
             used[ci] = True
-            if alg % 2:
-                raise PairingFailureError(
-                    f"real eigenvalue {center.real:.6g} has odd multiplicity {alg} in the adjoint"
-                )
-            want = alg // 2
+            reps = _cluster_values(w[info["idx"]], fro, tols)
+            want = len(reps)
             basis = _kernel_basis(
                 chi - center.real * eye, alg, info["spread"], tols.diag_rank, scale
             )
@@ -664,10 +681,8 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
                     f"could not extract {want} quaternion columns from a "
                     f"{alg}-dimensional real eigenspace"
                 )
-            for v in chosen:
-                cols1.append(v[:n])
-                cols2.append(-v[n:].conj())
-                dvals.append(complex(center.real, 0.0))
+            vecs.extend(chosen)
+            dvals.extend(reps)
             continue
 
         # complex eigenvalue: find the conjugate cluster
@@ -691,16 +706,9 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
         used[ci] = used[best_j] = True
         rep = 0.5 * (center + partner["center"].conjugate())
         upper = rep if rep.imag > 0 else rep.conjugate()
-        basis = _kernel_basis(chi - upper * eye, alg, info["spread"], tols.diag_rank, scale)
-        # verify the mirrored eigenspace is no smaller (defect may hide there)
-        _kernel_basis(
-            chi - upper.conjugate() * eye, alg, partner["spread"], tols.diag_rank, scale
-        )
-        for k in range(alg):
-            v = basis[:, k]
-            cols1.append(v[:n])
-            cols2.append(-v[n:].conj())
-            dvals.append(upper)
+        spread = min(info["spread"], partner["spread"])
+        vecs.extend(_kernel_basis(chi - upper * eye, alg, spread, tols.diag_rank, scale).T)
+        dvals.extend(_cluster_values(w[info["idx"] + partner["idx"]], fro, tols))
 
     if len(dvals) != n:
         raise PairingFailureError(
@@ -708,10 +716,8 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
         )
 
     order = sorted(range(n), key=lambda k: (dvals[k].real, dvals[k].imag))
-    x = QMatrix(
-        np.column_stack([cols1[k] for k in order]),
-        np.column_stack([cols2[k] for k in order]),
-    )
+    cols = np.column_stack([vecs[k] for k in order])
+    x = QMatrix(cols[:n], -cols[n:].conj())
     values = tuple(dvals[k] for k in order)
 
     try:

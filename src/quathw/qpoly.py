@@ -576,7 +576,6 @@ def hw_type_poly(
         cq,
         tols,
         kind="hw-type-poly",
-        rhs_factor=outcome.kappa * outcome.kappa,
         kappa=outcome.kappa,
         theorem_class=klass,
     )

@@ -3,13 +3,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quathw import MatrixFileError, QMatrix, QMatrixPolynomial
+import quathw
+from quathw import MatrixFileError, QMatrix, QMatrixPolynomial, Tolerances
 from quathw.cli import main
 from quathw.golden import fixture_path
 from quathw.hw import InequalityReport
@@ -339,8 +342,16 @@ class TestCli:
         assert "numeric failure" in err
 
     def test_unknown_tolerance_rejected(self, capsys):
-        code = main(["--tol", "bogus=1.0", "paper-suite"])
-        assert code == 2
+        # rank is no tolerance: no code would read it
+        for override in ("bogus=1.0", "rank=1e-3"):
+            assert main(["--tol", override, "paper-suite"]) == 2
+
+    def test_every_tolerance_is_read(self):
+        # an override of a tolerance no code reads would silently change nothing
+        package = Path(quathw.__file__).parent
+        text = "".join(p.read_text(encoding="utf-8") for p in package.rglob("*.py"))
+        unread = [name for name in Tolerances.names() if not re.search(rf"\btols\.{name}\b", text)]
+        assert unread == []
 
     def test_machine_report_round_trips_via_cli(self, capsys):
         code = main(

@@ -8,6 +8,7 @@ from quathw import (
     NotDiagonalizableError,
     QMatrix,
     Quaternion,
+    SingularMatrixError,
     adjoint,
     condition_number,
     diagonalize,
@@ -30,6 +31,7 @@ from quathw.generators import (
     random_qmatrix,
     random_unitary_qmatrix,
     rng_for,
+    upper_half_values,
 )
 from quathw.qmatrix import (
     _COUPLING,
@@ -47,6 +49,17 @@ def similar_to_jordan_block():
     x = random_qmatrix(rng_for(0), 3)
     j3 = QMatrix.from_complex(np.diag([2 + 1j] * 3) + np.diag([1.0, 1.0], 1))
     return x @ j3 @ inverse(x)
+
+
+def conditioned_input(rng, values, kappa=10.0):
+    """A = X D X^-1 with X = U diag(s) V* and kappa(X) = kappa, as the
+    diag-kappa benchmark builds its inputs."""
+    n = len(values)
+    u, v = random_unitary_qmatrix(rng, n), random_unitary_qmatrix(rng, n)
+    s = np.geomspace(1.0, 1.0 / kappa, n)
+    x = u @ QMatrix.diagonal(s) @ v.h
+    x_inv = v @ QMatrix.diagonal(1.0 / s) @ u.h
+    return x @ QMatrix.diagonal(values) @ x_inv
 
 
 def spectra_close(values, expected, tol=1e-9):
@@ -421,11 +434,40 @@ class TestDiagonalize:
             assert (rebuilt - a).frobenius_norm() <= 1e-6 * max(1.0, a.frobenius_norm())
 
     def test_matches_standard_eigenvalues(self):
-        rng = rng_for(16, 0)
-        a = random_qmatrix(rng, 4)
-        d = diagonalize(a)
+        a = random_qmatrix(rng_for(16, 0), 4)
         spec = standard_eigenvalues(a)
-        assert spectra_close(d.values, spec.values, tol=1e-8 * max(1.0, a.frobenius_norm()))
+        assert spectra_close(diagonalize(a).values, spec.values, tol=1e-10 * a.frobenius_norm())
+        # a quarter of each spectrum repeats, real and complex values alike
+        for trial in range(1, 61):
+            rng = rng_for(16, trial)
+            n = int(rng.integers(4, 13))
+            base = upper_half_values(rng, n - n // 4)
+            values = base + [base[k] for k in rng.choice(len(base), n // 4, replace=False)]
+            a = conditioned_input(rng, values)
+            d = diagonalize(a)
+            assert spectra_close(d.values, values, tol=1e-8 * (1.0 + max(map(abs, values))))
+            spec = standard_eigenvalues(a)
+            assert spectra_close(d.values, spec.values, tol=1e-10 * a.frobenius_norm())
+
+    @pytest.mark.parametrize(
+        "close, gap",
+        [
+            pytest.param((1.2, 1.2 + 1.04e-5), 1.04e-5, id="two-real-values"),
+            pytest.param((1.8647 + 3.6e-6j,), 7.2e-6, id="value-near-its-conjugate"),
+        ],
+    )
+    def test_merged_cluster_reports_each_value(self, close, gap):
+        # adjoint eigenvalues `gap` apart fall into one cluster; each keeps its
+        # own value instead of the cluster mean
+        rng = rng_for(20, len(close))
+        values = list(close) + upper_half_values(rng, 32 - len(close))
+        a = conditioned_input(rng, values)
+        fro = a.frobenius_norm()
+        assert gap < DEFAULT_TOLERANCES.diag_cluster * fro
+        d = diagonalize(a)
+        assert spectra_close(d.values, values, tol=1e-8 * (1.0 + max(map(abs, values))))
+        spec = standard_eigenvalues(a)
+        assert spectra_close(d.values, spec.values, tol=1e-10 * fro)
 
 
 class TestConditionNumber:
@@ -449,6 +491,12 @@ class TestConditionNumber:
         for _ in range(10):
             x = random_qmatrix(rng, 2)
             assert condition_number(x) >= 1.0 - 1e-10
+
+    def test_singular_rejected(self):
+        with pytest.raises(SingularMatrixError):
+            condition_number(QMatrix.from_real(np.diag([1.0, 0.0])))
+        with pytest.raises(SingularMatrixError):
+            condition_number(QMatrix.zeros(2))
 
 
 class TestMatrixAlgebra:
