@@ -1,18 +1,16 @@
 """Dense complex linear algebra kernel.
 
-Thin, contract-enforcing layer over LAPACK (through numpy/scipy): general
-and Hermitian eigendecompositions, spectral norm, rank, and inverse.
+Thin, contract-enforcing layer over LAPACK (through numpy): general and
+Hermitian eigendecompositions, spectral norm, rank, and inverse.
 Matrices are plain complex ``numpy.ndarray`` values; nothing here knows
 about quaternions.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NoConvergenceError,
@@ -121,22 +119,27 @@ def rank(a: np.ndarray, tol: float = 1e-10) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def _lu_factor_quiet(a: np.ndarray):
-    # singularity is handled by the explicit pivot guard below
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(a, check_finite=False)
-
-
 def inverse(a: np.ndarray, pivot_tol: float = 1e-13) -> np.ndarray:
-    """Matrix inverse through partial-pivot LU with an explicit pivot guard."""
+    """Inverse through partial-pivot LU (LAPACK ``gesv``) with a conditioning guard.
+
+    Raises SingularMatrixError on an exact zero pivot, when A = 0, when the
+    inverse is not finite, or when pivot_tol * ||A||_F * ||A^-1||_F >= 1.
+    Since 1 / ||A^-1||_F <= sigma_min(A), the guard rejects every A with
+    sigma_min(A) <= pivot_tol * ||A||_F.
+    """
     a = _as_square_complex(a)
     _require_finite(a)
     fro = float(np.linalg.norm(a, "fro"))
-    lu, piv = _lu_factor_quiet(a)
-    pivots = np.abs(np.diag(lu))
-    if fro == 0.0 or np.min(pivots) < pivot_tol * fro:
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LU meets an exact zero pivot: {exc}") from exc
+    # scaling first keeps the norm finite for tiny A with a finite inverse; a
+    # non-finite inverse gives inf or nan, which fails the test below
+    with np.errstate(over="ignore"):
+        guard = float(np.linalg.norm((pivot_tol * fro) * inv, "fro"))
+    if fro == 0.0 or not guard < 1.0:
         raise SingularMatrixError(
-            f"pivot {np.min(pivots):.3e} below threshold {pivot_tol:.1e}*||A||_F"
+            f"pivot * ||A||_F * ||A^-1||_F = {guard:.3e} is not below 1 (pivot {pivot_tol:.1e})"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0], dtype=complex), check_finite=False)
+    return inv

@@ -19,7 +19,7 @@ class Tolerances:
     """
 
     predicate: float = 1e-8          # normal / unitary / Hermitian / psd residuals
-    pivot: float = 1e-13             # LU pivot and sigma_min floor, relative to the Frobenius norm
+    pivot: float = 1e-13             # singularity floor of inverse and kappa, relative to ||A||_F
     pairing: float = 1e-6            # conjugate-pair fold radius, relative to ||A||_F
     clamp_imag: float = 1e-10        # |Im| below this (times scale) snaps to the real axis
     diag_cluster: float = 1e-6       # eigenvalue clustering radius for multiplicity analysis

@@ -275,8 +275,9 @@ def spectral_norm(a: QMatrix) -> float:
 def inverse(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> QMatrix:
     """Inverse through the adjoint embedding: chi(A^-1) = chi(A)^-1.
 
-    Raises SingularMatrixError when A is singular or so ill-conditioned that
-    the computed chi(A)^-1 leaves the adjoint image.
+    Raises SingularMatrixError when pivot * ||chi(A)||_F * ||chi(A)^-1||_F >= 1
+    (``clinalg.inverse``), so every A that ``condition_number`` rejects, or
+    when the computed chi(A)^-1 leaves the adjoint image.
     """
     if not a.is_square:
         raise ShapeMismatchError("only square matrices have inverses")

@@ -9,8 +9,10 @@ from quathw import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from quathw import clinalg
+from quathw import QMatrix, clinalg
+from quathw.generators import random_unitary_qmatrix
 from quathw.hw import min_cost_assignment
+from quathw.qmatrix import adjoint, condition_number, inverse
 
 from oracles import det_cofactor
 
@@ -141,8 +143,65 @@ class TestSpectralNormRankInverse:
             assert np.linalg.norm(a @ inv - np.eye(n), "fro") <= 1e-8 * np.linalg.cond(a)
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError) as exc:
             clinalg.inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        # LU meets an exact zero pivot
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+class TestInverseSingularity:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([1.0, 1e-14]),  # pivot * kappa_F = 10
+            np.zeros((2, 2)),
+            np.diag([1e-170, 1e-170]),  # ||A||_F underflows to 0
+        ],
+    )
+    def test_rejected(self, a):
+        with pytest.raises(SingularMatrixError):
+            clinalg.inverse(a)
+
+    def test_accepted_below_the_floor(self):
+        # pivot * kappa_F = 1e-13 * 1e11 = 0.01
+        inv = clinalg.inverse(np.diag([1.0, 1e-11]))
+        assert np.allclose(inv, np.diag([1.0, 1e11]), rtol=1e-15, atol=0.0)
+
+    def test_non_finite_inverse_rejected_without_floor(self):
+        assert np.isfinite(clinalg.inverse(np.diag([1.0, 1e-300]), pivot_tol=0.0)).all()
+        with pytest.raises(SingularMatrixError):
+            clinalg.inverse(np.diag([1.0, 1e-309]), pivot_tol=0.0)
+
+    def test_rejects_whatever_condition_number_rejects(self):
+        # 1/||A^-1||_F <= sigma_min, so sigma_min <= pivot ||A||_F forces
+        # pivot ||A||_F ||A^-1||_F >= 1
+        rng = np.random.default_rng(41)
+        rejected = set()
+        for k in range(10, 17):
+            for _ in range(4):
+                u = random_unitary_qmatrix(rng, 2)
+                v = random_unitary_qmatrix(rng, 2)
+                x = u @ QMatrix.diagonal([1.0, 10.0**-k]) @ v.h
+                try:
+                    condition_number(x)
+                except SingularMatrixError:
+                    rejected.add(k)
+                    with pytest.raises(SingularMatrixError):
+                        clinalg.inverse(adjoint(x))
+                    with pytest.raises(SingularMatrixError):
+                        inverse(x)
+        assert rejected == set(range(13, 17))
+
+    def test_agrees_with_scipy_lu(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(43)
+        for n in [1, 2, 3, 5, 8, 13, 32, 64]:
+            for _ in range(3):
+                a = rnd_complex(rng, n)
+                want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(n))
+                got = clinalg.inverse(a)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestSpectrumInvariants:

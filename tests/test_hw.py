@@ -1,9 +1,6 @@
 """Assignment kernel, conjugate fold, and inequality checks."""
 
 import math
-import os
-import subprocess
-import sys
 from itertools import permutations
 
 import numpy as np
@@ -183,19 +180,6 @@ class TestMinCostAssignmentLarge:
         res = min_cost_assignment([1.0 + 1j] * 64, [2.0] * 64)
         assert res.permutation == tuple(range(64))
 
-    def test_cli_import_leaves_out_scipy_optimize(self):
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, quathw.cli; print('scipy.optimize' in sys.modules)",
-            ],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
 
 
 def make_fold_inputs(mu, delta, sigma):

@@ -367,3 +367,60 @@ class TestCli:
         assert code == 0
         report = parse_report(out)
         assert emit_report(report) == out.strip()
+
+
+def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code args`` in a fresh interpreter that sees this quathw."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestCliChildProcess:
+    # what the installed console script runs
+    ENTRY = "import sys; from quathw.cli import main; sys.exit(main())"
+
+    def test_no_scipy_module_loads(self):
+        # scipy is a test dependency only; paper-suite reaches clinalg.inverse,
+        # so a lazy import there would show in the second list
+        probe = "\n".join(
+            [
+                "import contextlib, io, json, sys",
+                "def scipy_modules():",
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+                "from quathw.cli import main",
+                "after_import = scipy_modules()",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                "    code = main(['--format', 'machine', 'paper-suite'])",
+                "print(json.dumps([after_import, code, scipy_modules()]))",
+            ]
+        )
+        out = run_child(probe)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [[], 0, []]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("paper-suite",),
+            ("diag", "linear_normal_p.json"),
+            ("eigs", "linear_normal_p.json"),
+            ("hw", "--type", "linear_normal_p.json", "linear_normal_q.json"),
+        ],
+        ids=["paper-suite", "diag", "eigs", "hw-type"],
+    )
+    def test_child_matches_in_process(self, args, capsys):
+        # this process has scipy loaded and the child has not: output that
+        # depends on which modules are loaded differs between the two
+        import scipy.optimize  # noqa: F401
+
+        argv = ["--format", "machine"]
+        argv += [fixture_path(a) if a.endswith(".json") else a for a in args]
+        code = main(argv)
+        want = json.loads(capsys.readouterr().out)
+        child = run_child(self.ENTRY, *argv)
+        assert child.returncode == code, child.stderr
+        assert json.loads(child.stdout) == want
