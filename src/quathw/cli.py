@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import math
 import sys
 
 from . import golden
@@ -36,8 +36,8 @@ from .errors import (
     SingularLeadingCoefficientError,
     SingularMatrixError,
 )
-from .hw import InequalityReport, hw_check, hw_report, hw_type_check
-from .matio import emit_report, load_document, matrix_digest, polynomial_digest
+from .hw import hw_check, hw_report, hw_type_check
+from .matio import emit_json, load_document, matrix_digest, polynomial_digest, report_to_obj
 from .qmatrix import condition_number, diagonalize, standard_eigenvalues
 from .qpoly import (
     QMatrixPolynomial,
@@ -72,17 +72,9 @@ _NUMERIC_ERRORS = (
     SingularMatrixError,
 )
 
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by every command: tolerances and output format.
-
-    Machine-format reports are byte-identical across runs on the same
-    platform and inputs (for ``fuzz``, with the same ``--seed``).
-    """
-
-    tolerances: Tolerances
-    fmt: str = "human"
+# what each command returns: its exit code, its machine-format object (which
+# ``main`` writes with ``matio.emit_json``) and its human-format lines
+Outcome = tuple[int, dict, list[str]]
 
 
 def format_complex(z: complex) -> str:
@@ -108,8 +100,8 @@ def _parse_tols(pairs: list[str]) -> Tolerances:
             num = float(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"--tol {name}: {value!r} is not a number") from exc
-        if num <= 0:
-            raise argparse.ArgumentTypeError(f"--tol {name}: tolerance must be positive")
+        if not 0 < num < math.inf:
+            raise argparse.ArgumentTypeError(f"--tol {name}: tolerance must be positive and finite")
         overrides[name] = num
     return DEFAULT_TOLERANCES.replace(**overrides)
 
@@ -151,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eigs = sub.add_parser("eigs", help="standard eigenvalues of a matrix/polynomial file")
     p_eigs.add_argument("path")
+    p_eigs.set_defaults(run=cmd_eigs)
 
     p_hw = sub.add_parser("hw", help="inequality check between two files")
     p_hw.add_argument("path_a")
@@ -161,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="typed",
         help="use the kappa^2-weighted bound for a diagonalizable first input",
     )
+    p_hw.set_defaults(run=cmd_hw)
 
     p_bounds = sub.add_parser("bounds", help="eigenvalue location bounds for a polynomial")
     p_bounds.add_argument("path")
@@ -172,11 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="coefficient class hypothesis to check",
     )
     p_bounds.add_argument("--r", type=float, default=None, help="disc radius (commuting class)")
+    p_bounds.set_defaults(run=cmd_bounds)
 
     p_diag = sub.add_parser("diag", help="diagonalize a matrix or a polynomial's companion")
     p_diag.add_argument("path")
+    p_diag.set_defaults(run=cmd_diag)
 
-    sub.add_parser("paper-suite", help="replay the built-in reference examples")
+    p_suite = sub.add_parser("paper-suite", help="replay the built-in reference examples")
+    p_suite.set_defaults(run=cmd_paper_suite)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized property trials")
     p_fuzz.add_argument("--trials", type=positive_int, default=50)
@@ -186,50 +183,25 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all", "hw", "hw-type", "fold", "bounds"),
         default="all",
     )
+    p_fuzz.set_defaults(run=cmd_fuzz)
     return parser
 
 
-def _print_report(report: InequalityReport, fmt: str) -> None:
-    if fmt == "machine":
-        print(emit_report(report))
-        return
-    print(f"check: {report.kind}")
-    print(f"lhs (matched squared distance): {report.lhs:.12g}")
-    print(f"rhs (bound):                    {report.rhs:.12g}")
-    if report.kappa is not None:
-        print(f"kappa:                          {report.kappa:.12g}")
-    if report.theorem_class is not None:
-        print(f"class:                          {report.theorem_class}")
-    print(f"slack:                          {report.slack:.12g}")
-    print(f"permutation (1-based):          {list(report.permutation_one_based())}")
-    print(f"holds:                          {report.holds}")
-
-
-def cmd_eigs(args, config: RunConfig) -> int:
-    tols = config.tolerances
+def cmd_eigs(args, tols: Tolerances) -> Outcome:
     doc = load_document(args.path)
     if isinstance(doc, QMatrixPolynomial):
         spec = standard_eigenvalues_poly(doc, tols)
     else:
         spec = standard_eigenvalues(doc, tols)
-    if config.fmt == "machine":
-        print(
-            json.dumps(
-                {
-                    "values": [[z.real, z.imag] for z in spec.values],
-                    "pairing_residual": spec.pairing_residual,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(", ".join(format_complex(z) for z in spec.values))
-        print(f"pairing residual: {spec.pairing_residual:.3e}")
-    return EXIT_OK
+    obj = {"values": spec.values, "pairing_residual": spec.pairing_residual}
+    lines = [
+        ", ".join(format_complex(z) for z in spec.values),
+        f"pairing residual: {spec.pairing_residual:.3e}",
+    ]
+    return EXIT_OK, obj, lines
 
 
-def cmd_hw(args, config: RunConfig) -> int:
-    tols = config.tolerances
+def cmd_hw(args, tols: Tolerances) -> Outcome:
     doc_a = load_document(args.path_a)
     doc_b = load_document(args.path_b)
     if isinstance(doc_a, QMatrixPolynomial) != isinstance(doc_b, QMatrixPolynomial):
@@ -248,12 +220,26 @@ def cmd_hw(args, config: RunConfig) -> int:
         digests = {"a": matrix_digest(doc_a), "b": matrix_digest(doc_b)}
         report = hw_type_check(doc_a, doc_b, tols) if args.typed else hw_check(doc_a, doc_b, tols)
     report = dataclasses.replace(report, digests=digests)
-    _print_report(report, config.fmt)
-    return EXIT_OK if report.holds else EXIT_VIOLATED
+    lines = [
+        f"check: {report.kind}",
+        f"lhs (matched squared distance): {report.lhs:.12g}",
+        f"rhs (bound):                    {report.rhs:.12g}",
+    ]
+    if report.kappa is not None:
+        lines.append(f"kappa:                          {report.kappa:.12g}")
+    if report.theorem_class is not None:
+        lines.append(f"class:                          {report.theorem_class}")
+    lines += [
+        f"slack:                          {report.slack:.12g}",
+        f"permutation (1-based):          {list(report.permutation_one_based())}",
+        f"holds:                          {report.holds}",
+    ]
+    return (EXIT_OK if report.holds else EXIT_VIOLATED), report_to_obj(report), lines
 
 
-def cmd_bounds(args, config: RunConfig) -> int:
-    tols = config.tolerances
+def cmd_bounds(args, tols: Tolerances) -> Outcome:
+    if args.r is not None and args.klass != "commuting":
+        raise PreconditionViolatedError("--r applies only to --class commuting")
     doc = load_document(args.path)
     if not isinstance(doc, QMatrixPolynomial):
         raise MatrixFileError("bounds requires a polynomial file")
@@ -263,38 +249,32 @@ def cmd_bounds(args, config: RunConfig) -> int:
         report = bound_check_doubly_stochastic(doc, tols)
     else:
         report = bound_check_commuting_disc(doc, r=args.r, tols=tols)
-    if config.fmt == "machine":
-        print(
-            json.dumps(
-                {
-                    "class": report.klass,
-                    "lower": report.lower,
-                    "upper": report.upper,
-                    "moduli": list(report.moduli),
-                    "min_modulus": report.min_modulus,
-                    "max_modulus": report.max_modulus,
-                    "lower_margin": report.lower_margin,
-                    "upper_margin": report.upper_margin,
-                    "radius": report.radius,
-                    "holds": report.holds,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        lower = f"{report.lower:.6g} <" if report.lower_strict else f"{report.lower:.6g} <="
-        print(f"class: {report.klass}")
-        if report.radius is not None:
-            print(f"disc radius: {report.radius:.6g}")
-        print(f"bound: {lower} |lambda| < {report.upper:.6g}")
-        print(f"moduli: {', '.join(f'{m:.6g}' for m in report.moduli)}")
-        print(f"margins: lower {report.lower_margin:.6g}, upper {report.upper_margin:.6g}")
-        print(f"holds: {report.holds}")
-    return EXIT_OK if report.holds else EXIT_VIOLATED
+    obj = {
+        "class": report.klass,
+        "lower": report.lower,
+        "upper": report.upper,
+        "moduli": report.moduli,
+        "min_modulus": report.min_modulus,
+        "max_modulus": report.max_modulus,
+        "lower_margin": report.lower_margin,
+        "upper_margin": report.upper_margin,
+        "radius": report.radius,
+        "holds": report.holds,
+    }
+    lower = f"{report.lower:.6g} <" if report.lower_strict else f"{report.lower:.6g} <="
+    lines = [f"class: {report.klass}"]
+    if report.radius is not None:
+        lines.append(f"disc radius: {report.radius:.6g}")
+    lines += [
+        f"bound: {lower} |lambda| < {report.upper:.6g}",
+        f"moduli: {', '.join(f'{m:.6g}' for m in report.moduli)}",
+        f"margins: lower {report.lower_margin:.6g}, upper {report.upper_margin:.6g}",
+        f"holds: {report.holds}",
+    ]
+    return (EXIT_OK if report.holds else EXIT_VIOLATED), obj, lines
 
 
-def cmd_diag(args, config: RunConfig) -> int:
-    tols = config.tolerances
+def cmd_diag(args, tols: Tolerances) -> Outcome:
     doc = load_document(args.path)
     if isinstance(doc, QMatrixPolynomial):
         result = diagonalizable_companion(doc, tols)
@@ -306,50 +286,30 @@ def cmd_diag(args, config: RunConfig) -> int:
     else:
         result = diagonalize(doc, tols)
         kappa, klass = condition_number(result.transform, tols), None
-    if config.fmt == "machine":
-        print(
-            json.dumps(
-                {
-                    "values": [[z.real, z.imag] for z in result.values],
-                    "kappa": kappa,
-                    "residual": result.residual,
-                    "class": klass,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print("eigenvalues:", ", ".join(format_complex(z) for z in result.values))
-        print(f"kappa: {kappa:.12g}")
-        print(f"residual: {result.residual:.3e}")
-        if klass is not None:
-            print(f"class: {klass}")
-    return EXIT_OK
+    obj = {"values": result.values, "kappa": kappa, "residual": result.residual, "class": klass}
+    lines = [
+        "eigenvalues: " + ", ".join(format_complex(z) for z in result.values),
+        f"kappa: {kappa:.12g}",
+        f"residual: {result.residual:.3e}",
+    ]
+    if klass is not None:
+        lines.append(f"class: {klass}")
+    return EXIT_OK, obj, lines
 
 
-def cmd_paper_suite(args, config: RunConfig) -> int:
-    results = golden.run_all(config.tolerances)
+def cmd_paper_suite(args, tols: Tolerances) -> Outcome:
+    results = golden.run_all(tols)
     ok = all(r.passed for r in results)
-    if config.fmt == "machine":
-        print(
-            json.dumps(
-                {
-                    "passed": ok,
-                    "cases": [
-                        {"name": r.name, "passed": r.passed, "details": r.details}
-                        for r in results
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for r in results:
-            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}")
-            for line in r.details:
-                print(f"    {line}")
-        print(f"{sum(r.passed for r in results)}/{len(results)} reference cases passed")
-    return EXIT_OK if ok else EXIT_VIOLATED
+    obj = {
+        "passed": ok,
+        "cases": [{"name": r.name, "passed": r.passed, "details": r.details} for r in results],
+    }
+    lines = []
+    for r in results:
+        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}")
+        lines += [f"    {line}" for line in r.details]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} reference cases passed")
+    return (EXIT_OK if ok else EXIT_VIOLATED), obj, lines
 
 
 def _fuzz_trials(suite: str, trials: int, seed: int, tols: Tolerances) -> dict:
@@ -421,43 +381,32 @@ def _fuzz_trials(suite: str, trials: int, seed: int, tols: Tolerances) -> dict:
     return summary
 
 
-def cmd_fuzz(args, config: RunConfig) -> int:
-    summary = _fuzz_trials(args.suite, args.trials, args.seed, config.tolerances)
+def cmd_fuzz(args, tols: Tolerances) -> Outcome:
+    summary = _fuzz_trials(args.suite, args.trials, args.seed, tols)
     total_violations = sum(s["violations"] for s in summary.values())
-    if config.fmt == "machine":
-        print(
-            json.dumps(
-                {"seed": args.seed, "suites": summary, "violations": total_violations},
-                sort_keys=True,
-            )
-        )
-    else:
-        for name, s in summary.items():
-            print(f"{name}: {s['trials']} trials, {s['violations']} violations")
-        print(f"total violations: {total_violations}")
-    return EXIT_OK if total_violations == 0 else EXIT_VIOLATED
-
-
-_COMMANDS = {
-    "eigs": cmd_eigs,
-    "hw": cmd_hw,
-    "bounds": cmd_bounds,
-    "diag": cmd_diag,
-    "paper-suite": cmd_paper_suite,
-    "fuzz": cmd_fuzz,
-}
+    obj = {"seed": args.seed, "suites": summary, "violations": total_violations}
+    lines = [
+        f"{name}: {s['trials']} trials, {s['violations']} violations"
+        for name, s in summary.items()
+    ]
+    lines.append(f"total violations: {total_violations}")
+    return (EXIT_OK if total_violations == 0 else EXIT_VIOLATED), obj, lines
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, print its result in the ``--format`` asked for, return the exit code.
+
+    An error prints one line on stderr and nothing on stdout.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(tolerances=_parse_tols(args.tol), fmt=args.format)
+        tols = _parse_tols(args.tol)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     try:
-        return _COMMANDS[args.command](args, config)
+        code, obj, lines = args.run(args, tols)
     except MatrixFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -470,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     except QuathwError as exc:  # any remaining library error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    print(emit_json(obj) if args.format == "machine" else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

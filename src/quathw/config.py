@@ -1,7 +1,9 @@
-"""Central tolerance registry.
+"""Registry of the tolerances a user may override.
 
-Every numerical threshold used by the library lives here so that the CLI
-can override any of them by name (``--tol NAME=VALUE``).
+Each field can be overridden by name from the CLI (``--tol NAME=VALUE``).
+A few internal guards keep fixed thresholds instead, such as
+``QMatrixPolynomial.is_monic``'s default and the conjugate fold's pairing
+check.
 """
 
 from __future__ import annotations

@@ -170,9 +170,19 @@ def report_from_obj(obj: dict) -> InequalityReport:
     )
 
 
-def emit_report(report: InequalityReport) -> str:
+def _complex_pair(value: Any) -> list[float]:
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def emit_json(obj: Any) -> str:
     """Machine format: one JSON document, keys sorted, full float precision."""
-    return json.dumps(report_to_obj(report), sort_keys=True)
+    return json.dumps(obj, sort_keys=True, default=_complex_pair)
+
+
+def emit_report(report: InequalityReport) -> str:
+    return emit_json(report_to_obj(report))
 
 
 def parse_report(text: str) -> InequalityReport:

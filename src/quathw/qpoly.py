@@ -370,7 +370,8 @@ def bound_check_commuting_disc(
     """Monic with commuting lower coefficients: moduli in [0, r+1).
 
     ``r`` defaults to the largest standard-eigenvalue modulus over the
-    non-leading coefficients; a supplied radius must cover that value.
+    non-leading coefficients; a supplied radius must be finite and cover
+    that value.
     """
     if not p.is_monic(tol=1e-10):
         raise PreconditionViolatedError("polynomial must be monic for the disc bound")
@@ -392,6 +393,8 @@ def bound_check_commuting_disc(
     if r is None:
         radius = computed_r
     else:
+        if not np.isfinite(r):
+            raise PreconditionViolatedError(f"disc radius must be finite, got {r!r}")
         if computed_r > r + tols.strict_margin:
             raise PreconditionViolatedError(
                 f"coefficient eigenvalues reach modulus {computed_r:.6g}, "

@@ -145,6 +145,18 @@ class TestReportSerialization:
         assert parse_report(emit_report(report)) == report
 
 
+@pytest.fixture(scope="module")
+def cli_matrix():
+    """``scripts/cli_matrix.py`` loaded as a module."""
+    import importlib.util
+
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "cli_matrix.py")
+    spec = importlib.util.spec_from_file_location("cli_matrix", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCli:
     def fixture(self, name):
         return fixture_path(name)
@@ -310,18 +322,12 @@ class TestCli:
         assert out.returncode == 2
         assert "positive integer" in out.stderr
 
-    def test_cli_matrix_script(self, capsys):
-        import importlib.util
-
-        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "cli_matrix.py")
-        spec = importlib.util.spec_from_file_location("cli_matrix", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        runs = module.matrix(module.fixture_names())
+    def test_cli_matrix_script(self, cli_matrix, capsys):
+        runs = cli_matrix.matrix(cli_matrix.fixture_names())
         assert len(runs) == 340
         assert len({tuple(r) for r in runs}) == 340
         cwd = os.getcwd()
-        module.run_all(runs[:2])
+        cli_matrix.run_all(runs[:2])
         assert os.getcwd() == cwd
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(" ", 3)[3].split() for line in lines] == runs[:2]
@@ -329,6 +335,67 @@ class TestCli:
             code, out_sha, err_sha, _ = line.split(" ", 3)
             assert code == "0"
             assert len(out_sha) == len(err_sha) == 64
+
+    def test_cli_matrix_output_contract(self, cli_matrix, monkeypatch):
+        # a run that completes writes only stdout, in machine format one JSON
+        # document on one line; an error writes one stderr line and no stdout
+        monkeypatch.chdir(cli_matrix.fixture_dir())
+        codes = set()
+        for argv in cli_matrix.matrix(cli_matrix.fixture_names()):
+            code, out, err = cli_matrix.run(argv)
+            codes.add(code)
+            if code in (0, 1):
+                assert err == "", argv
+                if argv[:2] == ["--format", "machine"]:
+                    assert out.endswith("\n") and out.count("\n") == 1, argv
+                    json.loads(out)
+            else:
+                assert code in (2, 3, 4), argv
+                assert out == "", argv
+                assert err.endswith("\n") and err.count("\n") == 1, argv
+        assert {0, 1, 2, 3} <= codes
+
+    @pytest.mark.parametrize(
+        "override", ["ineq_abs=nan", "ineq_abs=inf", "tie=inf", "ineq_rel=nan"]
+    )
+    def test_non_finite_tolerance_rejected(self, override, capsys):
+        # accepted, they give wrong verdicts: ineq_abs=nan and tie=inf make the
+        # equality pair "violated", ineq_abs=inf makes every pair hold
+        code = main(
+            [
+                "--tol",
+                override,
+                "hw",
+                self.fixture("nonstandard_pair_a.json"),
+                self.fixture("nonstandard_pair_b.json"),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol") and err.count("\n") == 1
+
+    def test_bounds_radius_must_be_finite(self, tmp_path, capsys):
+        # lambda^2 + lambda + 1 per diagonal entry: coefficient moduli reach 1
+        p = QMatrixPolynomial((QMatrix.identity(2),) * 3)
+        path = write_json(tmp_path, "cyclotomic.json", polynomial_to_obj(p))
+        assert main(["bounds", path, "--class", "commuting", "--r", "1.5"]) == 0
+        capsys.readouterr()
+        for r in ("nan", "inf"):
+            code = main(["bounds", path, "--class", "commuting", "--r", r])
+            out, err = capsys.readouterr()
+            assert code == 2, r
+            assert out == "" and "finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("klass", ["unitary", "ds"])
+    def test_bounds_radius_only_for_commuting(self, klass, capsys):
+        # the other classes take no radius, so accepting one would ignore it
+        code = main(
+            ["bounds", self.fixture("quadratic_unitary_p.json"), "--class", klass, "--r", "5"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "--r" in err and err.count("\n") == 1
 
     def test_tolerance_override_numeric_failure(self, tmp_path, capsys):
         # an absurdly tight pairing tolerance turns rounding into a numeric error

@@ -275,6 +275,14 @@ class TestBounds:
         with pytest.raises(PreconditionViolatedError, match="disc"):
             bound_check_commuting_disc(p, r=1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_commuting_rejects_non_finite_radius(self, r):
+        # a NaN radius makes every comparison false and the verdict "violated";
+        # an infinite one holds vacuously
+        p = QMatrixPolynomial((QMatrix.identity(2), QMatrix.identity(2), QMatrix.identity(2)))
+        with pytest.raises(PreconditionViolatedError, match="finite"):
+            bound_check_commuting_disc(p, r=r)
+
     def test_doubly_stochastic_permutation_coefficients(self):
         perm1 = QMatrix.from_real(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
         perm2 = QMatrix.from_real(np.eye(3)[[2, 0, 1]])
