@@ -8,14 +8,16 @@ Complex scalars elsewhere (spectra in reports) are encoded as 2-arrays
 Polynomial file: a JSON object with "size", "degree" and "coefficients",
 an ascending-degree array of degree+1 matrix objects of that size.
 
-Parsers reject ragged rows, wrong entry arity, shape mismatches, and
-non-numeric values, reporting the JSON path of the offending element.
+Parsers reject ragged rows, wrong entry arity, shape mismatches,
+non-numeric or non-finite values (JSON NaN, Infinity, 1e400) and boolean
+counts, reporting the JSON path of the offending element.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 from .errors import MatrixFileError
@@ -27,7 +29,17 @@ from .qpoly import QMatrixPolynomial
 def _as_number(x: Any, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise MatrixFileError(f"{where}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise MatrixFileError(f"{where}: expected a finite number, got {x!r}")
+    return value
+
+
+def _is_positive_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
 def _entry_to_components(entry: Any, where: str) -> list[float]:
@@ -48,7 +60,7 @@ def matrix_from_obj(obj: Any, where: str = "matrix") -> QMatrix:
         if key not in obj:
             raise MatrixFileError(f"{where}: missing key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not (_is_positive_int(rows) and _is_positive_int(cols)):
         raise MatrixFileError(f"{where}: rows and cols must be positive integers")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
@@ -74,7 +86,7 @@ def polynomial_from_obj(obj: Any, where: str = "polynomial") -> QMatrixPolynomia
         if key not in obj:
             raise MatrixFileError(f"{where}: missing key {key!r}")
     size, degree = obj["size"], obj["degree"]
-    if not isinstance(size, int) or not isinstance(degree, int) or size < 1 or degree < 1:
+    if not (_is_positive_int(size) and _is_positive_int(degree)):
         raise MatrixFileError(f"{where}: size and degree must be positive integers")
     coeffs = obj["coefficients"]
     if not isinstance(coeffs, list) or len(coeffs) != degree + 1:

@@ -378,16 +378,17 @@ class StandardSpectrum:
 
 def _fold_conjugate_spectrum(
     w: np.ndarray, scale: float, tols: Tolerances
-) -> tuple[list[complex], float]:
+) -> tuple[list[complex], float, list[tuple[int, int]]]:
     """Pair the 2n eigenvalues of an adjoint with their conjugates.
 
     Greedy nearest-conjugate matching, most-imaginary value first (lowest
     index on ties), its partner the nearest conjugate (lowest index on
     ties); each pair contributes one representative with nonnegative
-    imaginary part.  The distances are one matrix up front, and the values
-    are visited in one fixed (-imag, index) order with consumed ones
-    skipped: removing values never changes the order of the rest, so every
-    choice is that of re-scanning the remaining values.  ``np.hypot`` rounds
+    imaginary part, and its indices (a, b) into ``w``, a the upper one.
+    The distances are one matrix up front, and the values are visited in
+    one fixed (-imag, index) order with consumed ones skipped: removing
+    values never changes the order of the rest, so every choice is that of
+    re-scanning the remaining values.  ``np.hypot`` rounds
     exactly as ``abs`` of a complex scalar (``np.abs`` on complex arrays
     does not, in the last bit), so ties and residuals come out bit for bit.
     The input comes from either route of ``standard_eigenvalues``: the
@@ -406,6 +407,7 @@ def _fold_conjugate_spectrum(
     values = list(w)
     alive = [True] * len(values)
     reps: list[complex] = []
+    pairs: list[tuple[int, int]] = []
     residual = 0.0
     for a in np.argsort(-w.imag, kind="stable").tolist():
         if not alive[a]:
@@ -421,7 +423,8 @@ def _fold_conjugate_spectrum(
         avg = 0.5 * (values[a] + values[b].conjugate())
         im = abs(avg.imag)
         reps.append(complex(avg.real, 0.0 if im <= clamp else im))
-    return reps, residual
+        pairs.append((a, b))
+    return reps, residual, pairs
 
 
 # golden-ratio weight of the skew-Hermitian part: no rational coincidences
@@ -523,7 +526,7 @@ def standard_eigenvalues(
     w = _normal_adjoint_eigenvalues(chi) if normal else None
     if w is None:
         w = clinalg.eigenvalues(chi).values
-    reps, residual = _fold_conjugate_spectrum(w, fro, tols)
+    reps, residual, _ = _fold_conjugate_spectrum(w, fro, tols)
     threshold = tols.pairing * max(fro, _TINY)
     if residual > threshold:
         raise PairingFailureError(
@@ -583,10 +586,10 @@ def _kernel_basis(
     return vh[len(s) - want :].conj().T
 
 
-def _cluster_values(w: np.ndarray, fro: float, tols: Tolerances) -> list[complex]:
-    """Sorted fold representatives of a cluster's adjoint eigenvalues: its
-    columns span its eigenspace but need not be eigenvectors of one value."""
-    return sorted(_fold_conjugate_spectrum(w, fro, tols)[0], key=lambda z: (z.real, z.imag))
+def _center_spread(w: np.ndarray, idx: list[int]) -> tuple[complex, float]:
+    """Mean of ``w[idx]`` and the largest distance of a member from it."""
+    center = complex(np.mean(w[idx]))
+    return center, max(abs(w[i] - center) for i in idx)
 
 
 def _symplectic_partner(v: np.ndarray) -> np.ndarray:
@@ -595,24 +598,59 @@ def _symplectic_partner(v: np.ndarray) -> np.ndarray:
     return np.concatenate([-v[n:].conj(), v[:n].conj()])
 
 
+def _symplectic_columns(basis: np.ndarray, want: int) -> list[np.ndarray]:
+    """``want`` columns of a real eigenvalue's kernel whose symplectic
+    partners complete them to an orthonormal basis."""
+    chosen: list[np.ndarray] = []
+    dirs: list[np.ndarray] = []
+    for k in range(basis.shape[1]):
+        v = basis[:, k].copy()
+        for d in dirs:  # modified Gram-Schmidt with one refresh pass
+            v -= d * (d.conj() @ v)
+        for d in dirs:
+            v -= d * (d.conj() @ v)
+        nv = np.linalg.norm(v)
+        if nv <= 1e-8:
+            continue
+        v /= nv
+        p = _symplectic_partner(v)
+        for d in dirs + [v]:
+            p -= d * (d.conj() @ p)
+        np_ = np.linalg.norm(p)
+        if np_ <= 1e-8:
+            raise PairingFailureError("symplectic partner collapsed during eigenspace pairing")
+        p /= np_
+        chosen.append(v)
+        dirs.extend([v, p])
+        if len(chosen) == want:
+            return chosen
+    raise PairingFailureError(
+        f"could not extract {want} quaternion columns from a "
+        f"{basis.shape[1]}-dimensional real eigenspace"
+    )
+
+
 def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonalization:
     """Diagonalize a square quaternion matrix over the quaternions.
 
-    Works on the complex adjoint: clusters its eigenvalues, checks geometric
-    multiplicities cluster by cluster, then assembles quaternion eigenvector
-    columns from a symplectically paired basis of each eigenspace.  Raises
+    Works on the complex adjoint.  Its 2n eigenvalues are folded into
+    conjugate pairs once, as in ``standard_eigenvalues``, so the values are
+    exactly that spectrum.  The n representatives are clustered at the
+    ``diag_cluster`` radius, and one SVD per cluster checks its geometric
+    multiplicity and gives its quaternion eigenvector columns.  Raises
     NotDiagonalizableError when some eigenvalue is defective or the
-    reconstruction fails verification.
+    reconstruction fails verification.  A merged cluster's columns span its
+    eigenspace but need not be eigenvectors of one value.
 
-    The clusters decide only the eigenspace extraction: the values are the
-    fold representatives of each cluster's adjoint eigenvalues (a complex
-    cluster's with its partner's), as in ``standard_eigenvalues``.
-
-    One SVD serves a conjugate pair of clusters.  For every eigenvector v of
-    chi(A) at lam, J conj(v) is one at conj(lam) (F. Zhang, LAA 251, 1997):
+    A cluster is real when one of its pairs lies within the radius of
+    itself.  It shifts by the real part of the mean of all its members, and
+    its even-dimensional kernel is paired symplectically.  Otherwise it is
+    complex and shifts by 1/2 (c_up + conj(c_low)), c_up and c_low the means
+    of its upper and lower members.  For every eigenvector v of chi(A) at
+    lam, J conj(v) is one at conj(lam) (F. Zhang, LAA 251, 1997):
     chi(A) - conj(lam) I = J conj(chi(A) - lam I) J^T with J = [[0, I],
-    [-I, 0]], exactly, so the mirrored shift has the same singular values:
-    its kernel check is this one's with the partner's spread, hence the min.
+    [-I, 0]], exactly, so the mirrored shift has the same singular values
+    and one SVD serves both halves, with the smaller of their spreads.
     """
     _square(a)
     n = a.rows
@@ -620,106 +658,36 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
     fro = a.frobenius_norm()
     scale = max(1.0, fro)
     w = clinalg.eigenvalues(chi).values
-
+    reps, _, pairs = _fold_conjugate_spectrum(w, fro, tols)
     radius = tols.diag_cluster * scale
-    clusters = _cluster_indices(w, radius)
     eye = np.eye(2 * n, dtype=complex)
 
-    vecs: list[np.ndarray] = []  # the chi-vector behind each quaternion column
-    dvals: list[complex] = []
-    clamp = tols.clamp_imag * scale
-
-    # sort clusters so conjugate partners are found deterministically
-    cluster_info = []
-    for idx_list in clusters:
-        center = complex(np.mean(w[idx_list]))
-        spread = max(abs(w[i] - center) for i in idx_list)
-        cluster_info.append({"idx": idx_list, "center": center, "spread": spread})
-    cluster_info.sort(key=lambda c: (c["center"].real, c["center"].imag))
-
-    used = [False] * len(cluster_info)
-    for ci, info in enumerate(cluster_info):
-        if used[ci]:
-            continue
-        center = info["center"]
-        alg = len(info["idx"])
-        if abs(center.imag) <= clamp:
-            # real eigenvalue: quaternionic eigenspace has even dimension,
-            # and the fold raises PairingFailureError on an odd one
-            used[ci] = True
-            reps = _cluster_values(w[info["idx"]], fro, tols)
-            want = len(reps)
+    columns: list[tuple[complex, np.ndarray]] = []  # (value, chi-vector) per quaternion column
+    for cluster in _cluster_indices(np.array(reps), radius):
+        cluster_values = sorted((reps[r] for r in cluster), key=lambda z: (z.real, z.imag))
+        cluster_pairs = [pairs[r] for r in cluster]
+        upper = sorted(a for a, _ in cluster_pairs)
+        lower = sorted(b for _, b in cluster_pairs)
+        if any(abs(w[a] - w[b]) <= radius for a, b in cluster_pairs):
+            members = sorted(upper + lower)
+            center, spread = _center_spread(w, members)
             basis = _kernel_basis(
-                chi - center.real * eye, alg, info["spread"], tols.diag_rank, scale
+                chi - center.real * eye, len(members), spread, tols.diag_rank, scale
             )
-            chosen: list[np.ndarray] = []
-            dirs: list[np.ndarray] = []
-            for k in range(basis.shape[1]):
-                v = basis[:, k].copy()
-                for d in dirs:  # modified Gram-Schmidt with one refresh pass
-                    v -= d * (d.conj() @ v)
-                for d in dirs:
-                    v -= d * (d.conj() @ v)
-                nv = np.linalg.norm(v)
-                if nv <= 1e-8:
-                    continue
-                v /= nv
-                p = _symplectic_partner(v)
-                for d in dirs + [v]:
-                    p -= d * (d.conj() @ p)
-                np_ = np.linalg.norm(p)
-                if np_ <= 1e-8:
-                    raise PairingFailureError(
-                        "symplectic partner collapsed during eigenspace pairing"
-                    )
-                p /= np_
-                chosen.append(v)
-                dirs.extend([v, p])
-                if len(chosen) == want:
-                    break
-            if len(chosen) < want:
-                raise PairingFailureError(
-                    f"could not extract {want} quaternion columns from a "
-                    f"{alg}-dimensional real eigenspace"
-                )
-            vecs.extend(chosen)
-            dvals.extend(reps)
-            continue
+            vecs = _symplectic_columns(basis, len(cluster))
+        else:
+            c_up, s_up = _center_spread(w, upper)
+            c_low, s_low = _center_spread(w, lower)
+            shift = 0.5 * (c_up + c_low.conjugate())
+            vecs = _kernel_basis(
+                chi - shift * eye, len(cluster), min(s_up, s_low), tols.diag_rank, scale
+            ).T
+        columns.extend(zip(cluster_values, vecs))
 
-        # complex eigenvalue: find the conjugate cluster
-        best_j, best_d = -1, np.inf
-        for cj in range(len(cluster_info)):
-            if cj == ci or used[cj]:
-                continue
-            d = abs(cluster_info[cj]["center"] - center.conjugate())
-            if d < best_d:
-                best_d, best_j = d, cj
-        if best_j < 0 or best_d > max(tols.pairing * scale, 4.0 * radius):
-            raise PairingFailureError(
-                f"no conjugate partner found for eigenvalue cluster at {center:.6g}"
-            )
-        partner = cluster_info[best_j]
-        if len(partner["idx"]) != alg:
-            raise PairingFailureError(
-                "conjugate eigenvalue clusters have mismatched multiplicities "
-                f"({alg} vs {len(partner['idx'])})"
-            )
-        used[ci] = used[best_j] = True
-        rep = 0.5 * (center + partner["center"].conjugate())
-        upper = rep if rep.imag > 0 else rep.conjugate()
-        spread = min(info["spread"], partner["spread"])
-        vecs.extend(_kernel_basis(chi - upper * eye, alg, spread, tols.diag_rank, scale).T)
-        dvals.extend(_cluster_values(w[info["idx"] + partner["idx"]], fro, tols))
-
-    if len(dvals) != n:
-        raise PairingFailureError(
-            f"assembled {len(dvals)} quaternion eigencolumns for order {n}"
-        )
-
-    order = sorted(range(n), key=lambda k: (dvals[k].real, dvals[k].imag))
-    cols = np.column_stack([vecs[k] for k in order])
+    columns.sort(key=lambda c: (c[0].real, c[0].imag))
+    cols = np.column_stack([v for _, v in columns])
     x = QMatrix(cols[:n], -cols[n:].conj())
-    values = tuple(dvals[k] for k in order)
+    values = tuple(z for z, _ in columns)
 
     try:
         xinv = inverse(x, tols)

@@ -182,7 +182,7 @@ def test_criterion_07_companion_similarity():
             comp = companion(p).matrix
             spec = standard_eigenvalues(comp)
             w = clinalg.eigenvalues(complex_companion(adjoint_polynomial(monicize(p)))).values
-            folded, _ = _fold_conjugate_spectrum(
+            folded, _, _ = _fold_conjugate_spectrum(
                 w, max(1.0, comp.frobenius_norm()), DEFAULT_TOLERANCES
             )
             assert spectra_close(

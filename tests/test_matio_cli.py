@@ -26,6 +26,8 @@ from quathw.matio import (
     polynomial_to_obj,
 )
 
+from test_qmatrix import rotated_jordan_block
+
 
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
@@ -64,6 +66,28 @@ class TestMatrixFormat:
         with pytest.raises(MatrixFileError, match="3 rows"):
             matrix_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "huge-int"],
+    )
+    def test_non_finite_rejected(self, tmp_path, text):
+        # json.loads accepts all of these; 1e400 parses as inf
+        path = tmp_path / "m.json"
+        path.write_text(
+            f'{{"rows": 1, "cols": 1, "entries": [[[1, {text}, 0, 0]]]}}', encoding="utf-8"
+        )
+        with pytest.raises(MatrixFileError, match=r"entries\[0\]\[0\]: expected a finite number"):
+            load_document(str(path))
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_boolean_shape_rejected(self, key):
+        # True is an int in Python and would read as 1
+        obj = {"rows": 1, "cols": 1, "entries": [[[1, 0, 0, 0]]]}
+        obj[key] = True
+        with pytest.raises(MatrixFileError, match="matrix: rows and cols must be positive"):
+            matrix_from_obj(obj)
+
 
 class TestPolynomialFormat:
     def test_round_trip(self):
@@ -83,6 +107,13 @@ class TestPolynomialFormat:
         )
         obj["degree"] = 2
         with pytest.raises(MatrixFileError, match="coefficients"):
+            polynomial_from_obj(obj)
+
+    @pytest.mark.parametrize("key", ["size", "degree"])
+    def test_boolean_counts_rejected(self, key):
+        obj = polynomial_to_obj(QMatrixPolynomial((QMatrix.identity(1),) * 2))
+        obj[key] = True
+        with pytest.raises(MatrixFileError, match="polynomial: size and degree must be positive"):
             polynomial_from_obj(obj)
 
     def test_coefficient_size_checked(self):
@@ -239,6 +270,14 @@ class TestCli:
         code = main(["hw", "--type", big, zero])
         assert code == 4
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_rotated_jordan_block_is_defective(self, tmp_path, capsys):
+        path = write_json(tmp_path, "j4.json", matrix_to_obj(rotated_jordan_block(4, 2 + 1j, 0)))
+        for argv in (["diag", path], ["hw", "--type", path, path]):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code == 2, err
+            assert out == "" and err.count("\n") == 1
 
     def test_identical_files_zero_lhs(self, capsys):
         path = self.fixture("linear_normal_p.json")
@@ -468,6 +507,21 @@ class TestCliChildProcess:
         out = run_child(probe)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == [[], 0, []]
+
+    def test_non_finite_entry_is_parse_error(self, tmp_path):
+        # a child process, so a numpy RuntimeWarning would show on stderr
+        one = write_json(tmp_path, "one.json", matrix_to_obj(QMatrix.identity(1)))
+        for name, text in (("inf.json", "Infinity"), ("nan.json", "NaN")):
+            path = tmp_path / name
+            path.write_text(
+                f'{{"rows": 1, "cols": 1, "entries": [[[{text}, 0, 0, 0]]]}}', encoding="utf-8"
+            )
+            for argv in (["hw", str(path), one], ["eigs", str(path)]):
+                child = run_child(self.ENTRY, *argv)
+                assert child.returncode == 3, child.stderr
+                assert child.stdout == ""
+                assert child.stderr.startswith("parse error:"), child.stderr
+                assert child.stderr.count("\n") == 1, child.stderr
 
     @pytest.mark.parametrize(
         "args",

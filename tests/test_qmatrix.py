@@ -51,6 +51,13 @@ def similar_to_jordan_block():
     return x @ j3 @ inverse(x)
 
 
+def rotated_jordan_block(k, lam, draw):
+    """X J_k(lam) X^-1 for X a random quaternion matrix plus 3I: defective."""
+    x = random_qmatrix(rng_for(5, k, draw), k) + QMatrix.identity(k) * 3.0
+    j = QMatrix.from_complex(np.diag([lam] * k) + np.diag(np.ones(k - 1), 1))
+    return x @ j @ inverse(x)
+
+
 def conditioned_input(rng, values, kappa=10.0):
     """A = X D X^-1 with X = U diag(s) V* and kappa(X) = kappa, as the
     diag-kappa benchmark builds its inputs."""
@@ -274,11 +281,14 @@ def fold_corpus(count):
 class TestConjugateFold:
     def test_matches_greedy_oracle_bit_for_bit(self):
         for w, scale in fold_corpus(3000):
-            reps, residual = _fold_conjugate_spectrum(w, scale, DEFAULT_TOLERANCES)
+            reps, residual, pairs = _fold_conjugate_spectrum(w, scale, DEFAULT_TOLERANCES)
             want_reps, want_residual = greedy_fold(w, scale, DEFAULT_TOLERANCES)
             # repr also tells apart signed zeros
             assert [repr(z) for z in reps] == [repr(z) for z in want_reps]
             assert float(residual) == float(want_residual)
+            # each index is in one pair, the upper one first
+            assert sorted(i for pair in pairs for i in pair) == list(range(len(w)))
+            assert all(w[a].imag >= w[b].imag for a, b in pairs)
 
 
 @pytest.fixture
@@ -417,6 +427,16 @@ class TestDiagonalize:
             diagonalize(a)
         assert not is_diagonalizable(a)
 
+    @pytest.mark.parametrize("lam", [1.5, 2 + 1j])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rotated_jordan_block_not_diagonalizable(self, k, lam):
+        # rounding spreads the eigenvalues of J_k about eps^(1/k) around lam,
+        # wider than the cluster radius at orders 3 and 4; each still has
+        # its conjugate from the fold, so the defect is what gets reported
+        for draw in range(3):
+            with pytest.raises(NotDiagonalizableError):
+                diagonalize(rotated_jordan_block(k, lam, draw))
+
     def test_hermitian_gives_unitary_transform(self):
         rng = rng_for(14, 0)
         h = random_hermitian_qmatrix(rng, 3)
@@ -436,7 +456,9 @@ class TestDiagonalize:
     def test_matches_standard_eigenvalues(self):
         a = random_qmatrix(rng_for(16, 0), 4)
         spec = standard_eigenvalues(a)
-        assert spectra_close(diagonalize(a).values, spec.values, tol=1e-10 * a.frobenius_norm())
+        d = diagonalize(a)
+        assert spectra_close(d.values, spec.values, tol=1e-10 * a.frobenius_norm())
+        assert d.values == spec.values
         # a quarter of each spectrum repeats, real and complex values alike
         for trial in range(1, 61):
             rng = rng_for(16, trial)
@@ -448,6 +470,7 @@ class TestDiagonalize:
             assert spectra_close(d.values, values, tol=1e-8 * (1.0 + max(map(abs, values))))
             spec = standard_eigenvalues(a)
             assert spectra_close(d.values, spec.values, tol=1e-10 * a.frobenius_norm())
+            assert d.values == spec.values
 
     @pytest.mark.parametrize(
         "close, gap",
@@ -468,6 +491,7 @@ class TestDiagonalize:
         assert spectra_close(d.values, values, tol=1e-8 * (1.0 + max(map(abs, values))))
         spec = standard_eigenvalues(a)
         assert spectra_close(d.values, spec.values, tol=1e-10 * fro)
+        assert d.values == spec.values
 
 
 class TestConditionNumber:

@@ -232,7 +232,7 @@ class TestStandardEigenvaluesPoly:
             spec = standard_eigenvalues_poly(p)
             w = clinalg.eigenvalues(complex_companion(adjoint_polynomial(p))).values
             scale = max(1.0, companion(p).matrix.frobenius_norm())
-            folded, _ = _fold_conjugate_spectrum(w, scale, DEFAULT_TOLERANCES)
+            folded, _, _ = _fold_conjugate_spectrum(w, scale, DEFAULT_TOLERANCES)
             assert spectra_close(spec.values, folded, tol=1e-6 * scale)
 
 
