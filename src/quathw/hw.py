@@ -10,6 +10,22 @@ in order, and a column before a row's current match is tried only when its
 reduced cost allows it, by one augmenting path on a copy of the state.
 Tied optima therefore resolve exactly as exhaustive enumeration in
 lexicographic order with that slack would.
+
+Most rows need no trial, and a tie certificate computed once after the
+initial solve finds them.  Until the first accepted swap the state is the
+initial matching M with duals u, v, reduced costs R = cost - u - v >= 0 up
+to rounding, and R = 0 on M up to rounding.  A swap at row i to a column
+j before its column cur(i) is accepted only if a matching M' of the
+remaining rows through (i, j) costs at most ``slack`` above M, up to the
+rounding of the sums.  M and M' differ by alternating cycles, and the sum
+of R over the edges of M' less that over the edges of M is exactly that
+excess; so every edge of M' has R at most the slack plus the rounding of
+the at most 2n edges involved: it is tight.  The cycle through (i, j)
+leads from column j to its matched row, by a tight edge of M' to the next
+column, and so on until it closes at cur(i).  A row none of whose
+candidates reaches cur(i) in that tight graph therefore keeps its column
+without a trial; flagged rows, and every row after a swap, run the trials.
+
 ``fold_conjugate_assignment`` implements the constructive rearrangement
 that turns one permutation on 2n conjugate-duplicated values into two
 permutations on n values without increasing the total cost.
@@ -31,6 +47,7 @@ from .errors import (
 )
 from .qmatrix import (
     QMatrix,
+    _squared_norm,
     condition_number,
     diagonalize,
     is_normal,
@@ -79,19 +96,21 @@ def _augment(
     n = v.shape[0]
     dist = np.full(n, _INF)  # path length to each unscanned column
     way = np.empty(n, dtype=int)  # previous column on the path, -1 = ``row``
-    closed = np.where(active, 0.0, _INF)  # inf on inactive and scanned columns
+    # v is fixed during the search: cost - v once, with inactive and
+    # scanned columns set to inf
+    open_cost = cost - v
+    open_cost[:, ~active] = _INF
     scanned: list[int] = []
     reached: list[float] = []
     i0, j0, base = row, -1, 0.0
     while True:
-        cur = cost[i0] - v
-        cur += base - u[i0]
-        cur += closed
+        cur = open_cost[i0] + (base - u[i0])
         way[cur < dist] = j0
         np.minimum(dist, cur, out=dist)
         j0 = int(dist.argmin())  # first index on ties
         base = float(dist[j0])
-        dist[j0] = closed[j0] = _INF
+        dist[j0] = _INF
+        open_cost[:, j0] = _INF
         i0 = int(col_row[j0])
         if i0 < 0:
             break
@@ -120,6 +139,50 @@ def _row_sum(
     return float(sum(cost[rows, row_col[first:]].tolist()))
 
 
+def _tie_certificate(
+    cost: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    col_row: np.ndarray,
+    row_col: np.ndarray,
+    slack: float,
+    rounding: float,
+) -> np.ndarray:
+    """Rows that may accept a swap while no earlier row has (module docstring).
+
+    Row i's candidates are the columns j before ``row_col[i]``, held by a
+    later row, with reduced cost within the per-edge bound of the
+    refinement.  An edge is tight when its reduced cost is at most
+    n * (slack + 2 * rounding * W), W the largest |cost| + |u| + |v|, which
+    bounds the slack plus the rounding of 2n edges.  Row i is flagged when
+    ``row_col[i]`` is reachable from a candidate by steps column -> its
+    matched row -> a tight column, found breadth-first from the candidates.
+    """
+    n = cost.shape[0]
+    reduced = cost - u[:, np.newaxis] - v
+    bound = slack + rounding * (np.abs(cost) + np.abs(u)[:, np.newaxis] + np.abs(v))
+    order = np.arange(n)
+    candidate = (reduced <= bound) & (order < row_col[:, np.newaxis])
+    candidate &= col_row > order[:, np.newaxis]
+    if not candidate.any():
+        return np.zeros(n, dtype=bool)
+    scale = np.abs(cost).max() + np.abs(u).max() + np.abs(v).max()
+    # step[c, d]: column c leads by its matched row and a tight edge to d
+    step = (reduced <= n * (slack + 2.0 * rounding * scale))[col_row]
+    # breadth-first from the candidate columns: reach[k, d] once d is
+    # reachable from the k-th of them
+    cols = np.flatnonzero(candidate.any(axis=0))
+    reach = step[cols]
+    reach[np.arange(len(cols)), cols] = True
+    step = step.astype(float)
+    while True:
+        grown = reach | (reach.astype(float) @ step > 0.0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return (candidate[:, cols] & reach[:, row_col].T).any(axis=1)
+
+
 def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
     """Lexicographically smallest permutation within ``tie*(1+best)`` of the optimum.
 
@@ -131,7 +194,9 @@ def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
     current match is tried only if its reduced cost leaves it within the
     slack, on a copy of the state with ``j`` deactivated and the displaced
     row re-matched by one augmenting path.  Row ``i``'s current match is
-    always within the slack.
+    always within the slack.  Until the first accepted swap the state is
+    the initial one, and a row that ``_tie_certificate`` does not flag keeps
+    its column without a trial.
     """
     n = cost.shape[0]
     u = np.zeros(n)
@@ -152,24 +217,30 @@ def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
     slack = tie * (1.0 + abs(best))
     # duals pick up rounding from every step; never let it prune a candidate
     rounding = 4.0 * n * n * np.finfo(float).eps
+    row_col = np.argsort(col_row)
+    flagged = _tie_certificate(cost, u, v, col_row, row_col, slack, rounding).tolist()
+    row_col = row_col.tolist()
+    swapped = False
     perm: list[int] = []
     fixed = 0.0
     for i in range(n):
-        current = int(np.flatnonzero(col_row == i)[0])
-        reduced = cost[i] - u[i] - v
-        bound = slack + rounding * (np.abs(cost[i]) + abs(u[i]) + np.abs(v))
+        current = int(np.flatnonzero(col_row == i)[0]) if swapped else row_col[i]
         chosen = current
-        for j in np.flatnonzero((active & (reduced <= bound))[:current]):
-            tu, tv, tcol_row, tactive = u.copy(), v.copy(), col_row.copy(), active.copy()
-            displaced = int(tcol_row[j])
-            tactive[j] = False
-            tcol_row[j] = tcol_row[current] = -1
-            _augment(cost, tu, tv, tcol_row, tactive, displaced)
-            rest = _row_sum(cost, tcol_row, tactive, i + 1)
-            if fixed + cost[i][j] + rest <= best + slack:
-                chosen = int(j)
-                u, v, col_row, active = tu, tv, tcol_row, tactive
-                break
+        if swapped or flagged[i]:
+            reduced = cost[i] - u[i] - v
+            bound = slack + rounding * (np.abs(cost[i]) + abs(u[i]) + np.abs(v))
+            for j in np.flatnonzero((active & (reduced <= bound))[:current]):
+                tu, tv, tcol_row, tactive = u.copy(), v.copy(), col_row.copy(), active.copy()
+                displaced = int(tcol_row[j])
+                tactive[j] = False
+                tcol_row[j] = tcol_row[current] = -1
+                _augment(cost, tu, tv, tcol_row, tactive, displaced)
+                rest = _row_sum(cost, tcol_row, tactive, i + 1)
+                if fixed + cost[i][j] + rest <= best + slack:
+                    chosen = int(j)
+                    u, v, col_row, active = tu, tv, tcol_row, tactive
+                    swapped = True
+                    break
         if chosen == current:
             active[current] = False
             col_row[current] = -1
@@ -201,10 +272,17 @@ def min_cost_assignment(
         raise LengthMismatchError(f"spectra have lengths {len(lam)} and {len(mu)}")
     if not lam:
         raise LengthMismatchError("spectra must be nonempty")
-    # scalar expressions match any direct recomputation bit for bit, so the
-    # optimum agrees exactly with exhaustive enumeration
+    # every entry is abs(l - m) ** 2 bit for bit, so the optimum agrees
+    # exactly with exhaustive enumeration: np.hypot rounds as abs() of a
+    # complex scalar, and x ** 2 is pow(), which x * x is not
+    with np.errstate(all="ignore"):
+        diff = np.subtract.outer(np.array(lam), np.array(mu))
+        dist = np.hypot(diff.real, diff.imag)
     try:
-        cost = np.array([[abs(l - m) ** 2 for m in mu] for l in lam], dtype=float)
+        if np.isfinite(dist).all():
+            cost = np.array([x ** 2 for x in dist.ravel().tolist()]).reshape(dist.shape)
+        else:  # raises as the scalar expression does
+            cost = np.array([[abs(l - m) ** 2 for m in mu] for l in lam], dtype=float)
     except OverflowError as exc:  # a finite distance whose square is out of range
         raise NonFiniteError("squared distances overflow") from exc
     if not np.all(np.isfinite(cost)):
@@ -339,7 +417,7 @@ def hw_report(
     lam = standard_eigenvalues(a, tols, normal=normal)
     mu = standard_eigenvalues(b, tols, normal=normal)
     match = min_cost_assignment(lam.values, mu.values, tols)
-    rhs = (1.0 if kappa is None else kappa * kappa) * (a - b).frobenius_norm() ** 2
+    rhs = (1.0 if kappa is None else kappa * kappa) * _squared_norm(a - b)
     return InequalityReport(
         kind=kind,
         lhs=match.cost,

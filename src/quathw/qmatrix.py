@@ -36,6 +36,7 @@ from .errors import (
 from .quaternion import Quaternion
 
 _TINY = np.finfo(float).tiny
+_INF = float("inf")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -126,10 +127,10 @@ class QMatrix:
     @classmethod
     def block(cls, grid) -> "QMatrix":
         """Assemble from a 2-d grid of QMatrix blocks."""
-        return cls(
-            np.block([[b.c1 for b in row] for row in grid]),
-            np.block([[b.c2 for b in row] for row in grid]),
-        )
+        return cls(*(
+            np.concatenate([np.concatenate([getattr(b, part) for b in row], axis=1) for row in grid])
+            for part in ("c1", "c2")
+        ))
 
     # -- shape and access ----------------------------------------------
 
@@ -221,7 +222,16 @@ class QMatrix:
     # -- norms and comparison --------------------------------------------
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.c1) ** 2) + np.sum(np.abs(self.c2) ** 2)))
+        """||A||_F, finite whenever it is below the largest double."""
+        with np.errstate(over="ignore"):
+            norm = float(np.sqrt(np.sum(np.abs(self.c1) ** 2) + np.sum(np.abs(self.c2) ** 2)))
+            if norm < _INF:
+                return norm
+            # finite entries whose squares overflow: the norm of A 2^-e, times 2^e
+            e = _exponent(self)
+            if e is None:
+                return norm
+            return float(np.ldexp((self * 2.0**-e).frobenius_norm(), e))
 
     def allclose(self, other: "QMatrix", tol: float = 1e-10) -> bool:
         if self.shape != other.shape:
@@ -240,7 +250,13 @@ class QMatrix:
 
 def adjoint(a: QMatrix) -> np.ndarray:
     """The complex adjoint matrix, exact block assembly (no arithmetic)."""
-    return np.block([[a.c1, a.c2], [-a.c2.conj(), a.c1.conj()]])
+    n, m = a.shape
+    chi = np.empty((2 * n, 2 * m), dtype=complex)
+    chi[:n, :m] = a.c1
+    chi[:n, m:] = a.c2
+    np.negative(a.c2.conj(), out=chi[n:, :m])
+    np.conjugate(a.c1, out=chi[n:, m:])
+    return chi
 
 
 def from_adjoint(m: np.ndarray, tol: float = 1e-10) -> QMatrix:
@@ -265,6 +281,22 @@ def from_adjoint(m: np.ndarray, tol: float = 1e-10) -> QMatrix:
 
 def frobenius_norm(a: QMatrix) -> float:
     return a.frobenius_norm()
+
+
+def _exponent(a: QMatrix) -> int | None:
+    """Binary exponent of A's largest real or imaginary entry part, or None
+    when some entry is not finite."""
+    big = max(float(np.abs(p).max()) for c in (a.c1, a.c2) for p in (c.real, c.imag))
+    return int(np.frexp(big)[1]) if big < _INF else None
+
+
+def _squared_norm(a: QMatrix) -> float:
+    """||A||_F ** 2, and inf where that square overflows."""
+    fro = a.frobenius_norm()
+    try:
+        return fro**2
+    except OverflowError:
+        return _INF
 
 
 def spectral_norm(a: QMatrix) -> float:
@@ -319,15 +351,29 @@ def is_hermitian(a: QMatrix, tol: float = 1e-8) -> bool:
 
 
 def is_normal(a: QMatrix, tol: float = 1e-8) -> bool:
+    """||A A* - A* A||_F <= tol (1 + ||A||_F^2).
+
+    When the products overflow while A is finite, the test runs on A 2^-e,
+    whose entries are at most 1, as ||C||_F <= tol (4^-e + ||A 2^-e||_F^2).
+    """
     _square(a)
-    ah = a.h
-    return (a @ ah - ah @ a).frobenius_norm() <= tol * (1.0 + a.frobenius_norm() ** 2)
+    floor = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ah = a.h
+        commutator = (a @ ah - ah @ a).frobenius_norm()
+    e = None if commutator < _INF else _exponent(a)
+    if e is not None:
+        a = a * 2.0**-e
+        floor = 4.0**-e
+        ah = a.h
+        commutator = (a @ ah - ah @ a).frobenius_norm()
+    return commutator <= tol * (floor + _squared_norm(a))
 
 
 def is_unitary(a: QMatrix, tol: float = 1e-8) -> bool:
     _square(a)
     eye = QMatrix.identity(a.rows)
-    scale = 1.0 + a.frobenius_norm() ** 2
+    scale = 1.0 + _squared_norm(a)
     return (a @ a.h - eye).frobenius_norm() <= tol * scale and (
         a.h @ a - eye
     ).frobenius_norm() <= tol * scale
@@ -388,7 +434,12 @@ def _fold_conjugate_spectrum(
     The distances are one matrix up front, and the values are visited in
     one fixed (-imag, index) order with consumed ones skipped: removing
     values never changes the order of the rest, so every choice is that of
-    re-scanning the remaining values.  ``np.hypot`` rounds
+    re-scanning the remaining values.  Each value's nearest conjugate over
+    all other values (first index on ties) is one row argmin up front: when
+    that partner is still alive and its distance finite, it is also the
+    nearest alive one, and only otherwise does the argmin run over the alive
+    values (the first alive value when all their distances overflowed to
+    inf).  ``np.hypot`` rounds
     exactly as ``abs`` of a complex scalar (``np.abs`` on complex arrays
     does not, in the last bit), so ties and residuals come out bit for bit.
     The input comes from either route of ``standard_eigenvalues``: the
@@ -403,8 +454,11 @@ def _fold_conjugate_spectrum(
     w = np.asarray(w, dtype=complex)
     diff = w[np.newaxis, :] - w.conj()[:, np.newaxis]
     dist = np.hypot(diff.real, diff.imag)  # dist[a, b] = |w[b] - conj(w[a])|
-    masked = dist.copy()  # consumed columns set to inf
-    values = list(w)
+    masked = dist.copy()
+    np.fill_diagonal(masked, np.inf)
+    nearest = masked.argmin(axis=1).tolist()  # first index on ties
+    near_ok = np.isfinite(masked.min(axis=1)).tolist()
+    values = w.tolist()  # Python complex: the same arithmetic, bit for bit
     alive = [True] * len(values)
     reps: list[complex] = []
     pairs: list[tuple[int, int]] = []
@@ -413,12 +467,12 @@ def _fold_conjugate_spectrum(
         if not alive[a]:
             continue
         alive[a] = False
-        masked[:, a] = np.inf
-        b = int(masked[a].argmin())  # first index on ties
-        if not alive[b]:  # every remaining distance overflowed to inf
-            b = alive.index(True)
+        b = nearest[a]
+        if not (alive[b] and near_ok[a]):
+            b = int(np.where(alive, dist[a], np.inf).argmin())
+            if not alive[b]:  # every remaining distance overflowed to inf
+                b = alive.index(True)
         alive[b] = False
-        masked[:, b] = np.inf
         residual = max(residual, dist[a, b])
         avg = 0.5 * (values[a] + values[b].conjugate())
         im = abs(avg.imag)
@@ -474,8 +528,9 @@ def _normal_adjoint_eigenvalues(chi: np.ndarray) -> np.ndarray | None:
     by a power of two never changes the outcome.
     """
     m = chi.shape[0]
-    scale = float(np.linalg.norm(chi))
-    if not np.isfinite(scale):
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(chi))
+    if not scale < _INF:  # the general eigensolver copes with the range
         return None
     unit = m * np.finfo(float).eps * scale
     half = (0.5 - 0.5j * _PENCIL_T) * chi  # H + tK = half + half^H
@@ -483,20 +538,28 @@ def _normal_adjoint_eigenvalues(chi: np.ndarray) -> np.ndarray | None:
         _, v = np.linalg.eigh(half + half.conj().T)
     except np.linalg.LinAlgError:  # pragma: no cover - rare in LAPACK
         return None
-    g = v.conj().T @ (chi @ v)
+    vh = v.conj().T
+    g = vh @ (chi @ v)
     coupled = np.abs(g) > _COUPLING * unit
     np.fill_diagonal(coupled, False)
-    labels = _coupled_groups(coupled)
-    inside = labels[:, np.newaxis] == labels[np.newaxis, :]
-    outside = float(np.linalg.norm(np.where(inside, 0.0, g)))
-    defect = float(np.linalg.norm(v.conj().T @ v - np.eye(m)))
+    # usually nothing couples: every group is a singleton and the mass
+    # outside them is that of G off its diagonal
+    labels = _coupled_groups(coupled) if coupled.any() else None
+    if labels is None:
+        off = g.copy()
+        np.fill_diagonal(off, 0.0)
+    else:
+        off = np.where(labels[:, np.newaxis] == labels[np.newaxis, :], 0.0, g)
+    outside = float(np.linalg.norm(off))
+    defect = float(np.linalg.norm(vh @ v - np.eye(m)))
     if not outside + defect * scale <= _CERTIFICATE * unit:
         return None
     values = np.diagonal(g).copy()
-    sizes = np.bincount(labels, minlength=m)
-    for r in np.flatnonzero(sizes > 1):
-        idx = np.flatnonzero(labels == r)
-        values[idx] = np.linalg.eigvals(g[np.ix_(idx, idx)])
+    if labels is not None:
+        sizes = np.bincount(labels, minlength=m)
+        for r in np.flatnonzero(sizes > 1):
+            idx = np.flatnonzero(labels == r)
+            values[idx] = np.linalg.eigvals(g[np.ix_(idx, idx)])
     return values[np.lexsort((values.imag, values.real))]
 
 

@@ -33,6 +33,7 @@ from .qmatrix import (
     QMatrix,
     StandardSpectrum,
     _fold_conjugate_spectrum,
+    _squared_norm,
     adjoint,
     condition_number,
     diagonalize,
@@ -106,7 +107,7 @@ def monicize(p: QMatrixPolynomial, tols: Tolerances = DEFAULT_TOLERANCES) -> QMa
     for b, a in zip(monic.coefficients[:-1], p.coefficients[:-1]):
         defect = (p.leading @ b - a).frobenius_norm()
         if defect > tols.monic_residual * (1.0 + a.frobenius_norm()) * max(
-            1.0, p.leading.frobenius_norm() ** 2
+            1.0, _squared_norm(p.leading)
         ):
             raise SingularLeadingCoefficientError(
                 f"monic normalization residual {defect:.3e} is too large; "

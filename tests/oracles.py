@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
 Everything here is deliberately naive: exhaustive enumeration, cofactor
-expansion, basis-table quaternion products.  None of it shares code with
-the implementation under test.
+expansion, basis-table quaternion products, or a frozen copy of an earlier
+implementation.  None of it shares code with the implementation under test.
 """
 
 from __future__ import annotations
@@ -65,6 +65,136 @@ def exhaustive_lex_within(lam, mu, tie: float) -> tuple[int, ...]:
     }
     best = min(costs.values())
     return next(p for p, c in costs.items() if c <= best + tie * (1.0 + best))
+
+
+# -- reference assignment kernel ----------------------------------------------
+# A verbatim copy of ``hw._augment``, ``hw._row_sum`` and
+# ``hw._lex_min_cost_permutation`` as they were before the refinement
+# learned to skip rows by its tie certificate.  The library's kernel must
+# return the same permutation on every input.
+
+_INF = float("inf")
+
+
+def _augment(
+    cost: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    col_row: np.ndarray,
+    active: np.ndarray,
+    row: int,
+) -> None:
+    """Match the free ``row`` by one shortest augmenting path, in place.
+
+    Dijkstra over the active columns on reduced costs ``cost - u - v``
+    (Jonker & Volgenant 1987; Crouse 2016): each step scans one row as a
+    numpy vector and stops at the first free column.  The duals are then
+    moved by the path lengths, so they stay feasible and tight on
+    ``col_row``, and the matching is optimal on the rows it covers.
+    """
+    n = v.shape[0]
+    dist = np.full(n, _INF)  # path length to each unscanned column
+    way = np.empty(n, dtype=int)  # previous column on the path, -1 = ``row``
+    closed = np.where(active, 0.0, _INF)  # inf on inactive and scanned columns
+    scanned: list[int] = []
+    reached: list[float] = []
+    i0, j0, base = row, -1, 0.0
+    while True:
+        cur = cost[i0] - v
+        cur += base - u[i0]
+        cur += closed
+        way[cur < dist] = j0
+        np.minimum(dist, cur, out=dist)
+        j0 = int(dist.argmin())  # first index on ties
+        base = float(dist[j0])
+        dist[j0] = closed[j0] = _INF
+        i0 = int(col_row[j0])
+        if i0 < 0:
+            break
+        scanned.append(j0)
+        reached.append(base)
+    u[row] += base
+    if scanned:
+        cols = np.array(scanned)
+        shift = base - np.array(reached)
+        u[col_row[cols]] += shift
+        v[cols] -= shift
+    while j0 >= 0:
+        j1 = int(way[j0])
+        col_row[j0] = row if j1 < 0 else col_row[j1]
+        j0 = j1
+
+
+def _row_sum(
+    cost: np.ndarray, col_row: np.ndarray, active: np.ndarray, first: int
+) -> float:
+    """Cost of the matched rows ``first..n-1``, summed in row order."""
+    row_col = np.empty(cost.shape[0], dtype=int)
+    cols = np.flatnonzero(active)
+    row_col[col_row[cols]] = cols
+    rows = np.arange(first, cost.shape[0])
+    return float(sum(cost[rows, row_col[first:]].tolist()))
+
+
+def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
+    """Lexicographically smallest permutation within ``tie*(1+best)`` of the optimum.
+
+    One potentials state (row duals ``u``, column duals ``v``, the
+    column->row match and the active-column mask) serves both phases.  The
+    initial solve, warm-started by column reduction so that only the rows
+    it leaves free need an augmenting path, gives ``best``.  The refinement
+    then fixes rows in order: a candidate column ``j`` before row ``i``'s
+    current match is tried only if its reduced cost leaves it within the
+    slack, on a copy of the state with ``j`` deactivated and the displaced
+    row re-matched by one augmenting path.  Row ``i``'s current match is
+    always within the slack.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n)
+    # column reduction (Jonker & Volgenant): v_j = min_i c_ij is feasible,
+    # and each row takes the first column whose minimum it holds, tightly
+    v = cost.min(axis=0)
+    col_row = np.full(n, -1)
+    active = np.ones(n, dtype=bool)
+    # first[r] is the first column whose minimum row r holds; np.unique would
+    # import numpy.ma lazily, about 13 ms of a CLI command that gets here
+    first = np.full(n, n)
+    np.minimum.at(first, cost.argmin(axis=0), np.arange(n))
+    held = first < n
+    col_row[first[held]] = np.flatnonzero(held)
+    for i in np.flatnonzero(~held).tolist():
+        _augment(cost, u, v, col_row, active, i)
+    best = _row_sum(cost, col_row, active, 0)
+    slack = tie * (1.0 + abs(best))
+    # duals pick up rounding from every step; never let it prune a candidate
+    rounding = 4.0 * n * n * np.finfo(float).eps
+    perm: list[int] = []
+    fixed = 0.0
+    for i in range(n):
+        current = int(np.flatnonzero(col_row == i)[0])
+        reduced = cost[i] - u[i] - v
+        bound = slack + rounding * (np.abs(cost[i]) + abs(u[i]) + np.abs(v))
+        chosen = current
+        for j in np.flatnonzero((active & (reduced <= bound))[:current]):
+            tu, tv, tcol_row, tactive = u.copy(), v.copy(), col_row.copy(), active.copy()
+            displaced = int(tcol_row[j])
+            tactive[j] = False
+            tcol_row[j] = tcol_row[current] = -1
+            _augment(cost, tu, tv, tcol_row, tactive, displaced)
+            rest = _row_sum(cost, tcol_row, tactive, i + 1)
+            if fixed + cost[i][j] + rest <= best + slack:
+                chosen = int(j)
+                u, v, col_row, active = tu, tv, tcol_row, tactive
+                break
+        if chosen == current:
+            active[current] = False
+            col_row[current] = -1
+        perm.append(chosen)
+        fixed += cost[i][chosen]
+    return perm
+
+
+reference_lex_min_cost_permutation = _lex_min_cost_permutation
 
 
 def det_cofactor(a: np.ndarray) -> complex:

@@ -25,6 +25,7 @@ from quathw import (
     min_cost_assignment,
     non_standard_counterexample,
 )
+import quathw.hw as hw_module
 from quathw import clinalg
 from quathw.generators import (
     random_diagonalizable_qmatrix,
@@ -34,6 +35,7 @@ from quathw.generators import (
     upper_half_values,
 )
 
+import oracles
 from oracles import exhaustive_lex_within, exhaustive_min_assignment
 
 complex_values = st.complex_numbers(
@@ -180,6 +182,65 @@ class TestMinCostAssignmentLarge:
         res = min_cost_assignment([1.0 + 1j] * 64, [2.0] * 64)
         assert res.permutation == tuple(range(64))
 
+    def test_tie_certificate_matches_reference_kernel(self, monkeypatch):
+        # the kernel before the tie certificate, kept verbatim in the oracles,
+        # must pick the same permutation on tie-heavy spectra at every scale
+        calls = {"library": 0, "reference": 0}
+        flagged_runs = []
+
+        def counted(module, key):
+            augment = module._augment
+
+            def wrapper(*args):
+                calls[key] += 1
+                return augment(*args)
+
+            monkeypatch.setattr(module, "_augment", wrapper)
+
+        def recorded(*args):
+            flags = certificate(*args)
+            flagged_runs.append(bool(flags.any()))
+            return flags
+
+        certificate = hw_module._tie_certificate
+        counted(hw_module, "library")
+        counted(oracles, "reference")
+        monkeypatch.setattr(hw_module, "_tie_certificate", recorded)
+        fewer_trials = 0
+        for trial in range(2000):
+            rng = rng_for(107, trial)
+            n = 1 + int(40 * rng.random() ** 3)  # 1..40, most of them small
+            kind = trial % 4
+            if kind == 0:  # Gaussian-integer lattice
+                lam = rng.integers(-2, 3, n) + 1j * rng.integers(0, 3, n)
+                mu = rng.integers(-2, 3, n) + 1j * rng.integers(0, 3, n)
+            elif kind == 1:  # mu a permutation of lambda
+                lam = rng.integers(-3, 4, n) + 1j * rng.integers(0, 4, n)
+                mu = lam[rng.permutation(n)]
+            elif kind == 2:  # all-equal spectra
+                lam = np.full(n, complex(*rng.integers(-2, 3, 2)))
+                mu = np.full(n, complex(*rng.integers(-2, 3, 2)))
+            else:  # a coarse lattice, more ties still
+                lam = rng.integers(-1, 2, n) + 1j * rng.integers(0, 2, n)
+                mu = rng.integers(-1, 2, n) + 1j * rng.integers(0, 2, n)
+            scale = (1.0, 2.0**30, 2.0**-30)[trial % 3]
+            lam = [complex(z) * scale for z in lam]
+            mu = [complex(z) * scale for z in mu]
+            before = dict(calls)
+            res = min_cost_assignment(lam, mu)
+            want = oracles.reference_lex_min_cost_permutation(
+                res.cost_matrix, DEFAULT_TOLERANCES.tie
+            )
+            assert res.permutation == tuple(want), (trial, n)
+            assert res.cost == assignment_cost(lam, mu, want)
+            library = calls["library"] - before["library"]
+            reference = calls["reference"] - before["reference"]
+            assert library <= reference
+            fewer_trials += library < reference
+        # the certificate skipped trials somewhere, and flagged rows elsewhere
+        assert fewer_trials > 0
+        assert any(flagged_runs)
+
 
 
 def make_fold_inputs(mu, delta, sigma):
@@ -295,6 +356,15 @@ class TestHwCheck:
             hw_check(a, b)
         with pytest.raises(NotNormalError):
             hw_check(b, a)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_squares_give_infinite_sides(self):
+        # every squared distance is finite but the sums are not; ||A - B||_F
+        # is finite and its square is not, which must read inf, not raise
+        a = QMatrix.identity(8) * 0.6e154
+        rep = hw_check(a, -a)
+        assert (rep.lhs, rep.rhs, rep.holds) == (math.inf, math.inf, True)
+        assert rep.permutation == tuple(range(8))
 
     def test_random_normal_pairs_hold(self):
         for trial in range(100):

@@ -1,5 +1,7 @@
 """File format parsing, report round trips, and CLI behavior."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -475,14 +477,47 @@ class TestCli:
         assert emit_report(report) == out.strip()
 
 
-def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+def run_child(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
     """Run ``python -c code args`` in a fresh interpreter that sees this quathw."""
     return subprocess.run(
         [sys.executable, "-c", code, *args],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env),
         capture_output=True,
         text=True,
     )
+
+
+def cli_fixture_commands() -> dict[str, tuple[str, ...]]:
+    """The benchmark's ``cli-fixtures`` commands by test id, fixtures by file name.
+
+    Each exits 0 on the bundled fixtures.  Plain ``hw`` runs on the two
+    normal matrix pairs, so the assignment and the conjugate fold are covered.
+    """
+    matrices = ("mixed_complex_diagonal", "nonstandard_pair_a", "nonstandard_pair_b",
+                "unitary_j_diagonal")
+    polys = ("linear_normal_p", "linear_normal_q", "quadratic_unitary_p",
+             "quadratic_unitary_q")
+    pairs = (("nonstandard_pair_a", "nonstandard_pair_b"),
+             ("mixed_complex_diagonal", "unitary_j_diagonal"),
+             ("linear_normal_p", "linear_normal_q"),
+             ("quadratic_unitary_p", "quadratic_unitary_q"))
+    cmds = [("eigs", f) for f in matrices + polys]
+    cmds += [("diag", f) for f in matrices + polys if f != "quadratic_unitary_q"]
+    cmds += [("hw", a, b) for a, b in pairs[:2]]
+    cmds += [("hw", "--type", a, b) for a, b in pairs]
+    cmds += [("bounds", f, "--class", "unitary") for f in polys[2:]]
+    cmds.append(("paper-suite",))
+    # three runs go by short test ids
+    short = {("eigs", "linear_normal_p"): "eigs", ("diag", "linear_normal_p"): "diag",
+             ("hw", "--type", "linear_normal_p", "linear_normal_q"): "hw-type"}
+    return {
+        short.get(cmd, "-".join(part.lstrip("-") for part in cmd)):
+        tuple(f"{part}.json" if part in matrices + polys else part for part in cmd)
+        for cmd in cmds
+    }
+
+
+CLI_FIXTURE_COMMANDS = cli_fixture_commands()
 
 
 class TestCliChildProcess:
@@ -523,25 +558,64 @@ class TestCliChildProcess:
                 assert child.stderr.startswith("parse error:"), child.stderr
                 assert child.stderr.count("\n") == 1, child.stderr
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("paper-suite",),
-            ("diag", "linear_normal_p.json"),
-            ("eigs", "linear_normal_p.json"),
-            ("hw", "--type", "linear_normal_p.json", "linear_normal_q.json"),
-        ],
-        ids=["paper-suite", "diag", "eigs", "hw-type"],
-    )
-    def test_child_matches_in_process(self, args, capsys):
-        # this process has scipy loaded and the child has not: output that
-        # depends on which modules are loaded differs between the two
+    @pytest.fixture(scope="class")
+    def in_process(self):
+        # every command in one sequence in this process, as the benchmark
+        # runs them: scipy is loaded here and the hash seed is random, while
+        # a child loads neither scipy nor anything else it does not need
         import scipy.optimize  # noqa: F401
 
-        argv = ["--format", "machine"]
-        argv += [fixture_path(a) if a.endswith(".json") else a for a in args]
-        code = main(argv)
-        want = json.loads(capsys.readouterr().out)
-        child = run_child(self.ENTRY, *argv)
+        results = {}
+        for key, args in CLI_FIXTURE_COMMANDS.items():
+            argv = self.argv(args)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            results[key] = code, json.loads(buf.getvalue())
+        return results
+
+    @staticmethod
+    def argv(args) -> list[str]:
+        return ["--format", "machine"] + [
+            fixture_path(a) if a.endswith(".json") else a for a in args
+        ]
+
+    def test_fixture_commands_cover_the_benchmark(self):
+        assert len(CLI_FIXTURE_COMMANDS) == 24
+        assert ("hw", "mixed_complex_diagonal.json", "unitary_j_diagonal.json") in (
+            CLI_FIXTURE_COMMANDS.values()
+        )
+
+    @pytest.mark.parametrize("key", list(CLI_FIXTURE_COMMANDS))
+    def test_child_matches_in_process(self, key, in_process):
+        code, want = in_process[key]
+        assert code == 0
+        child = run_child(self.ENTRY, *self.argv(CLI_FIXTURE_COMMANDS[key]), PYTHONHASHSEED="0")
         assert child.returncode == code, child.stderr
         assert json.loads(child.stdout) == want
+
+    def test_cli_import_loads_every_layer(self):
+        # a span recorder that wraps each layer's functions after importing
+        # quathw.cli finds them all in sys.modules
+        layers = ("clinalg", "qmatrix", "hw", "qpoly", "matio", "cli")
+        probe = "\n".join(
+            [
+                "import json, sys",
+                "import quathw.cli",
+                f"print(json.dumps([m for m in {layers!r} if 'quathw.' + m not in sys.modules]))",
+            ]
+        )
+        out = run_child(probe)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == []
+
+    @pytest.mark.parametrize("typed", [False, True], ids=["hw", "hw-type"])
+    def test_overflowing_operand_is_numeric_failure(self, tmp_path, typed):
+        # ||A||_F^2 and A A* overflow, so the normality test runs scaled, and
+        # the squared eigenvalue distance overflows: one line, no warning
+        big = write_json(tmp_path, "big.json", matrix_to_obj(QMatrix.from_real([[1e160]])))
+        zero = write_json(tmp_path, "zero.json", matrix_to_obj(QMatrix.from_real([[0.0]])))
+        child = run_child(self.ENTRY, "hw", *(["--type"] if typed else []), big, zero)
+        assert child.returncode == 4, child.stderr
+        assert child.stdout == ""
+        assert child.stderr == "numeric failure: squared distances overflow\n"

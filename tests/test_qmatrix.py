@@ -1,6 +1,9 @@
 """Quaternion matrices: adjoint identities, norms, predicates, eigenvalues,
 diagonalization, condition numbers."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,6 +222,33 @@ class TestNorms:
             fro_chi_sq = np.linalg.norm(chi, "fro") ** 2
             assert fro_chi_sq == pytest.approx(2.0 * a.frobenius_norm() ** 2, rel=1e-10)
             assert clinalg.spectral_norm(chi) == pytest.approx(spectral_norm(a), rel=1e-10)
+
+
+    def test_frobenius_norm_and_is_normal_survive_overflow(self):
+        # the squares overflow while the entries are finite: both rescale
+        # by a power of two, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert QMatrix.from_real([[1e160]]).frobenius_norm() == 1e160
+            pair = QMatrix.from_complex([[1e300, 1e300j]])
+            assert pair.frobenius_norm() == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+            assert QMatrix.from_real([[1e308] * 4]).frobenius_norm() == math.inf
+            assert is_normal(QMatrix.from_real([[1e160]]))
+            assert is_normal(QMatrix.diagonal([1e200, -1e200j, 3.0]))
+            assert not is_normal(QMatrix.from_real([[0.0, 1e160], [0.0, 0.0]]))
+
+    def test_assembly_matches_np_block(self):
+        rng = rng_for(11, 0)
+        a = random_qmatrix(rng, 3, 4)
+        want = np.block([[a.c1, a.c2], [-a.c2.conj(), a.c1.conj()]])
+        assert adjoint(a).tobytes() == want.tobytes()
+        grid = [[random_qmatrix(rng, r, c) for c in (1, 3)] for r in (2, 4)]
+        block = QMatrix.block(grid)
+        for part in ("c1", "c2"):
+            want = np.block([[getattr(b, part) for b in row] for row in grid])
+            assert getattr(block, part).tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            QMatrix.block([[grid[0][0], grid[1][1]]])
 
 
 class TestStandardEigenvalues:
