@@ -47,6 +47,8 @@ from .errors import (
 )
 from .qmatrix import (
     QMatrix,
+    StandardSpectrum,
+    _checked_spectrum,
     _squared_norm,
     condition_number,
     diagonalize,
@@ -415,6 +417,22 @@ def hw_report(
     if a.shape != b.shape or not a.is_square:
         raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
     lam = standard_eigenvalues(a, tols, normal=normal)
+    return _report(lam, a, b, tols, kind, kappa, theorem_class, normal=normal)
+
+
+def _report(
+    lam: StandardSpectrum,
+    a: QMatrix,
+    b: QMatrix,
+    tols: Tolerances,
+    kind: str,
+    kappa: float | None = None,
+    theorem_class: str | None = None,
+    *,
+    normal: bool = False,
+) -> InequalityReport:
+    """``hw_report`` of equal square A and B, with A's standard eigenvalues
+    ``lam`` already computed."""
     mu = standard_eigenvalues(b, tols, normal=normal)
     match = min_cost_assignment(lam.values, mu.values, tols)
     rhs = (1.0 if kappa is None else kappa * kappa) * _squared_norm(a - b)
@@ -458,12 +476,15 @@ def hw_type_check(
     """Hoffman-Wielandt-type check: diagonalizable A, arbitrary B.
 
     The bound is kappa(X)^2 ||A-B||_F^2 with X the computed diagonalizer.
+    A's standard eigenvalues are the diagonalization's own, which are
+    exactly those of ``standard_eigenvalues``, under the same pairing check.
     """
     if a.shape != b.shape or not a.is_square:
         raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
     diag = diagonalize(a, tols)  # raises NotDiagonalizableError
     kappa = condition_number(diag.transform, tols)
-    return hw_report(a, b, tols, kind="hw-type", kappa=kappa)
+    lam = _checked_spectrum(a, diag.values, diag.pairing_residual, tols)
+    return _report(lam, a, b, tols, "hw-type", kappa)
 
 
 # -- the built-in non-standard right-eigenvalue demonstration ----------------

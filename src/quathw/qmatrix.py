@@ -21,6 +21,8 @@ plane.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ from .quaternion import Quaternion
 
 _TINY = np.finfo(float).tiny
 _INF = float("inf")
+_PRODUCT_SAFE = 2.0**500  # below this ||A||_F, products of two factors of A are finite
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -47,7 +50,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class QMatrix:
     """Immutable dense quaternion matrix backed by its complex split."""
 
-    __slots__ = ("c1", "c2")
+    __slots__ = ("c1", "c2", "_fro")
 
     def __init__(self, c1: np.ndarray, c2: np.ndarray | None = None):
         c1 = np.array(c1, dtype=complex)
@@ -59,8 +62,15 @@ class QMatrix:
             c2 = np.array(c2, dtype=complex)
         if c2.shape != c1.shape:
             raise ShapeMismatchError(f"split parts differ in shape: {c1.shape} vs {c2.shape}")
-        self.c1 = _freeze(c1)
-        self.c2 = _freeze(c2)
+        self.c1, self.c2, self._fro = _freeze(c1), _freeze(c2), None
+
+    @classmethod
+    def _adopt(cls, c1: np.ndarray, c2: np.ndarray) -> "QMatrix":
+        """Wrap complex arrays of equal 2-d shape that nothing else holds,
+        without copying or validating them: the results of arithmetic."""
+        a = object.__new__(cls)
+        a.c1, a.c2, a._fro = _freeze(c1), _freeze(c2), None
+        return a
 
     # -- constructors -------------------------------------------------
 
@@ -105,11 +115,11 @@ class QMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":
         cols = rows if cols is None else cols
-        return cls(np.zeros((rows, cols), dtype=complex))
+        return cls._adopt(*(np.zeros((rows, cols), dtype=complex) for _ in range(2)))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(np.eye(n, dtype=complex))
+        return cls._adopt(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
 
     @classmethod
     def diagonal(cls, values) -> "QMatrix":
@@ -122,12 +132,12 @@ class QMatrix:
                 p1, p2 = complex(v), 0.0
             z1.append(p1)
             z2.append(p2)
-        return cls(np.diag(np.array(z1, dtype=complex)), np.diag(np.array(z2, dtype=complex)))
+        return cls._adopt(*(np.diag(np.array(z, dtype=complex)) for z in (z1, z2)))
 
     @classmethod
     def block(cls, grid) -> "QMatrix":
         """Assemble from a 2-d grid of QMatrix blocks."""
-        return cls(*(
+        return cls._adopt(*(
             np.concatenate([np.concatenate([getattr(b, part) for b in row], axis=1) for row in grid])
             for part in ("c1", "c2")
         ))
@@ -171,21 +181,21 @@ class QMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeMismatchError(f"cannot add shapes {self.shape} and {other.shape}")
-        return QMatrix(self.c1 + other.c1, self.c2 + other.c2)
+        return QMatrix._adopt(self.c1 + other.c1, self.c2 + other.c2)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeMismatchError(f"cannot subtract shapes {self.shape} and {other.shape}")
-        return QMatrix(self.c1 - other.c1, self.c2 - other.c2)
+        return QMatrix._adopt(self.c1 - other.c1, self.c2 - other.c2)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.c1, -self.c2)
+        return QMatrix._adopt(-self.c1, -self.c2)
 
     def __mul__(self, scalar) -> "QMatrix":
         if isinstance(scalar, (int, float)):
-            return QMatrix(self.c1 * scalar, self.c2 * scalar)
+            return QMatrix._adopt(self.c1 * scalar, self.c2 * scalar)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -196,7 +206,7 @@ class QMatrix:
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot multiply shapes {self.shape} and {other.shape}")
         # (A1 + A2 j)(B1 + B2 j) = (A1 B1 - A2 conj(B2)) + (A1 B2 + A2 conj(B1)) j
-        return QMatrix(
+        return QMatrix._adopt(
             self.c1 @ other.c1 - self.c2 @ other.c2.conj(),
             self.c1 @ other.c2 + self.c2 @ other.c1.conj(),
         )
@@ -204,16 +214,20 @@ class QMatrix:
     def scale_left(self, q: Quaternion) -> "QMatrix":
         """q * A, entrywise left multiplication by a quaternion scalar."""
         q1, q2 = q.complex_pair()
-        return QMatrix(q1 * self.c1 - q2 * self.c2.conj(), q1 * self.c2 + q2 * self.c1.conj())
+        return QMatrix._adopt(
+            q1 * self.c1 - q2 * self.c2.conj(), q1 * self.c2 + q2 * self.c1.conj()
+        )
 
     def scale_right(self, q: Quaternion) -> "QMatrix":
         """A * q, entrywise right multiplication by a quaternion scalar."""
         q1, q2 = q.complex_pair()
-        return QMatrix(self.c1 * q1 - self.c2 * np.conj(q2), self.c1 * q2 + self.c2 * np.conj(q1))
+        return QMatrix._adopt(
+            self.c1 * q1 - self.c2 * np.conj(q2), self.c1 * q2 + self.c2 * np.conj(q1)
+        )
 
     def conjugate_transpose(self) -> "QMatrix":
         """A* with entries conj(a_ji)."""
-        return QMatrix(self.c1.conj().T, -self.c2.T)
+        return QMatrix._adopt(self.c1.conj().T, -self.c2.T)
 
     @property
     def h(self) -> "QMatrix":
@@ -222,16 +236,13 @@ class QMatrix:
     # -- norms and comparison --------------------------------------------
 
     def frobenius_norm(self) -> float:
-        """||A||_F, finite whenever it is below the largest double."""
-        with np.errstate(over="ignore"):
-            norm = float(np.sqrt(np.sum(np.abs(self.c1) ** 2) + np.sum(np.abs(self.c2) ** 2)))
-            if norm < _INF:
-                return norm
-            # finite entries whose squares overflow: the norm of A 2^-e, times 2^e
-            e = _exponent(self)
-            if e is None:
-                return norm
-            return float(np.ldexp((self * 2.0**-e).frobenius_norm(), e))
+        """||A||_F, finite whenever it is below the largest double.
+
+        Computed once per matrix: the arrays are frozen.
+        """
+        if self._fro is None:
+            self._fro = _frobenius_norm(self)
+        return self._fro
 
     def allclose(self, other: "QMatrix", tol: float = 1e-10) -> bool:
         if self.shape != other.shape:
@@ -281,6 +292,22 @@ def from_adjoint(m: np.ndarray, tol: float = 1e-10) -> QMatrix:
 
 def frobenius_norm(a: QMatrix) -> float:
     return a.frobenius_norm()
+
+
+def _frobenius_norm(a: QMatrix) -> float:
+    # sqrt(sum |c1|^2 + sum |c2|^2), squared in place: x * x is x ** 2
+    with np.errstate(over="ignore"):
+        sq1, sq2 = np.abs(a.c1), np.abs(a.c2)
+        sq1 *= sq1
+        sq2 *= sq2
+        norm = math.sqrt(sq1.sum() + sq2.sum())
+        if norm < _INF:
+            return norm
+        # finite entries whose squares overflow: the norm of A 2^-e, times 2^e
+        e = _exponent(a)
+        if e is None:
+            return norm
+        return float(np.ldexp((a * 2.0**-e).frobenius_norm(), e))
 
 
 def _exponent(a: QMatrix) -> int | None:
@@ -350,41 +377,62 @@ def is_hermitian(a: QMatrix, tol: float = 1e-8) -> bool:
     return (a - a.h).frobenius_norm() <= tol * (1.0 + a.frobenius_norm())
 
 
-def is_normal(a: QMatrix, tol: float = 1e-8) -> bool:
-    """||A A* - A* A||_F <= tol (1 + ||A||_F^2).
+def _rescaled_test(a: QMatrix, tol: float, degree: int, defect) -> bool:
+    """defect(A, 1) <= tol (1 + ||A||_F^degree), safe from overflow.
 
-    When the products overflow while A is finite, the test runs on A 2^-e,
-    whose entries are at most 1, as ||C||_F <= tol (4^-e + ||A 2^-e||_F^2).
+    ``defect(A, c)`` is built from products of A and c times fixed terms, so
+    that defect(A t, t^degree) = t^degree defect(A, 1) for a power of two t.
+    While ||A||_F < 2^500 no product of two factors of A overflows, and the
+    test runs as written.  Past that, when the defect is not finite while A
+    is, it runs on A 2^-e, whose entries are at most 1 (e the binary exponent
+    of A's largest entry part), as defect(A 2^-e, c) <= tol (c + ||A 2^-e||_F^degree)
+    with c = 2^(-e degree): both sides are those of A times c.
     """
+    c = 1.0
+    if a.frobenius_norm() < _PRODUCT_SAFE:
+        d = defect(a, c)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = defect(a, c)
+        e = None if d < _INF else _exponent(a)
+        if e is not None:
+            a = a * 2.0**-e
+            c = 2.0 ** (-e * degree)
+            d = defect(a, c)
+    return d <= tol * (c + (a.frobenius_norm() if degree == 1 else _squared_norm(a)))
+
+
+def _gram_defect(g: QMatrix, c: float) -> float:
+    """||G - c I||_F"""
+    eye = QMatrix.identity(g.rows)
+    return (g - (eye if c == 1.0 else eye * c)).frobenius_norm()
+
+
+def is_normal(a: QMatrix, tol: float = 1e-8) -> bool:
+    """||A A* - A* A||_F <= tol (1 + ||A||_F^2), safe from overflow."""
     _square(a)
-    floor = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        ah = a.h
-        commutator = (a @ ah - ah @ a).frobenius_norm()
-    e = None if commutator < _INF else _exponent(a)
-    if e is not None:
-        a = a * 2.0**-e
-        floor = 4.0**-e
-        ah = a.h
-        commutator = (a @ ah - ah @ a).frobenius_norm()
-    return commutator <= tol * (floor + _squared_norm(a))
+    return _rescaled_test(a, tol, 2, lambda x, c: (x @ x.h - x.h @ x).frobenius_norm())
 
 
 def is_unitary(a: QMatrix, tol: float = 1e-8) -> bool:
+    """||A A* - I||_F and ||A* A - I||_F are at most tol (1 + ||A||_F^2),
+    safe from overflow."""
     _square(a)
-    eye = QMatrix.identity(a.rows)
-    scale = 1.0 + _squared_norm(a)
-    return (a @ a.h - eye).frobenius_norm() <= tol * scale and (
-        a.h @ a - eye
-    ).frobenius_norm() <= tol * scale
+    return _rescaled_test(a, tol, 2, lambda x, c: _gram_defect(x @ x.h, c)) and _rescaled_test(
+        a, tol, 2, lambda x, c: _gram_defect(x.h @ x, c)
+    )
 
 
 def is_positive_semidefinite(a: QMatrix, tol: float = 1e-8) -> bool:
+    """Hermitian, with the smallest eigenvalue of chi(A) at least
+    -tol (1 + ||A||_F), safe from overflow."""
     _square(a)
     if not is_hermitian(a, tol):
         return False
-    w = clinalg.hermitian_eigenvalues(adjoint(a), sym_tol=max(tol, 1e-10))
-    return bool(w[0] >= -tol * (1.0 + a.frobenius_norm()))
+    sym_tol = max(tol, 1e-10)
+    return bool(_rescaled_test(
+        a, tol, 1, lambda x, c: -clinalg.hermitian_eigenvalues(adjoint(x), sym_tol=sym_tol)[0]
+    ))
 
 
 def is_invertible(a: QMatrix, tol: float = 1e-10) -> bool:
@@ -590,13 +638,20 @@ def standard_eigenvalues(
     if w is None:
         w = clinalg.eigenvalues(chi).values
     reps, residual, _ = _fold_conjugate_spectrum(w, fro, tols)
-    threshold = tols.pairing * max(fro, _TINY)
+    reps.sort(key=lambda z: (z.real, z.imag))
+    return _checked_spectrum(a, reps, residual, tols)
+
+
+def _checked_spectrum(a: QMatrix, values, residual: float, tols: Tolerances) -> StandardSpectrum:
+    """A's sorted fold ``values`` as its standard eigenvalues, or
+    PairingFailureError when the fold ``residual`` exceeds the pairing
+    tolerance."""
+    threshold = tols.pairing * max(a.frobenius_norm(), _TINY)
     if residual > threshold:
         raise PairingFailureError(
             f"conjugate pairing residual {residual:.3e} exceeds {threshold:.3e}"
         )
-    reps.sort(key=lambda z: (z.real, z.imag))
-    return StandardSpectrum(values=tuple(reps), pairing_residual=float(residual))
+    return StandardSpectrum(values=tuple(values), pairing_residual=float(residual))
 
 
 # -- diagonalization ----------------------------------------------------------
@@ -609,11 +664,15 @@ class Diagonalization:
     ``transform`` is X with X^-1 A X = diag(values); ``values`` are standard
     eigenvalues aligned with the columns of X and sorted lexicographically.
     ``residual`` is ||X^-1 A X - diag(values)||_F / max(||A||_F, tiny).
+    ``pairing_residual`` is that of the conjugate fold that gave the values,
+    unchecked: the values and residual are those of ``standard_eigenvalues``,
+    which raises when it exceeds the pairing tolerance.
     """
 
     transform: QMatrix
     values: tuple[complex, ...]
     residual: float
+    pairing_residual: float
 
 
 def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
@@ -651,6 +710,10 @@ def _kernel_basis(
 
 def _center_spread(w: np.ndarray, idx: list[int]) -> tuple[complex, float]:
     """Mean of ``w[idx]`` and the largest distance of a member from it."""
+    if len(idx) == 1:
+        z = complex(w[idx[0]])
+        if cmath.isfinite(z):  # np.mean's value: z with its zeros made positive
+            return z + 0j, 0.0
     center = complex(np.mean(w[idx]))
     return center, max(abs(w[i] - center) for i in idx)
 
@@ -721,7 +784,7 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
     fro = a.frobenius_norm()
     scale = max(1.0, fro)
     w = clinalg.eigenvalues(chi).values
-    reps, _, pairs = _fold_conjugate_spectrum(w, fro, tols)
+    reps, pairing_residual, pairs = _fold_conjugate_spectrum(w, fro, tols)
     radius = tols.diag_cluster * scale
     eye = np.eye(2 * n, dtype=complex)
 
@@ -765,7 +828,12 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
         raise NotDiagonalizableError(
             f"diagonalization residual {residual:.3e} exceeds {tols.diag_verify:.1e}"
         )
-    return Diagonalization(transform=x, values=values, residual=float(residual))
+    return Diagonalization(
+        transform=x,
+        values=values,
+        residual=float(residual),
+        pairing_residual=float(pairing_residual),
+    )
 
 
 def is_diagonalizable(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> bool:

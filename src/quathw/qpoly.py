@@ -28,10 +28,12 @@ from .errors import (
     SingularLeadingCoefficientError,
     SingularMatrixError,
 )
-from .hw import InequalityReport, hw_report, min_cost_assignment
+from .hw import InequalityReport, _report, min_cost_assignment
 from .qmatrix import (
+    Diagonalization,
     QMatrix,
     StandardSpectrum,
+    _checked_spectrum,
     _fold_conjugate_spectrum,
     _squared_norm,
     adjoint,
@@ -118,7 +120,10 @@ def monicize(p: QMatrixPolynomial, tols: Tolerances = DEFAULT_TOLERANCES) -> QMa
 
 def companion(p: QMatrixPolynomial, tols: Tolerances = DEFAULT_TOLERANCES) -> CompanionMatrix:
     """The mn x mn block companion matrix of the monic normalization."""
-    monic = monicize(p, tols)
+    return _monic_companion(monicize(p, tols))
+
+
+def _monic_companion(monic: QMatrixPolynomial) -> CompanionMatrix:
     n, m = monic.size, monic.degree
     bs = monic.coefficients[:-1]
     if m == 1:
@@ -223,7 +228,7 @@ def standard_eigenvalues_poly(
     companion spectrum; a mismatch raises PairingFailureError.
     """
     monic = monicize(p, tols)
-    comp = companion(monic, tols)
+    comp = _monic_companion(monic)
     spectrum = standard_eigenvalues(comp.matrix, tols)
 
     c_pchi = complex_companion(adjoint_polynomial(monic), pivot_tol=tols.pivot)
@@ -325,9 +330,10 @@ def _is_doubly_stochastic(m: np.ndarray, tol: float) -> bool:
     if np.any(m < -tol):
         return False
     ones = np.ones(m.shape[0])
+    atol = tol * m.shape[0]
+    # np.allclose with rtol=0 (and NaN unequal), without its overhead
     return bool(
-        np.allclose(m @ ones, ones, rtol=0.0, atol=tol * m.shape[0])
-        and np.allclose(m.T @ ones, ones, rtol=0.0, atol=tol * m.shape[0])
+        (np.abs(m @ ones - 1.0) <= atol).all() and (np.abs(m.T @ ones - 1.0) <= atol).all()
     )
 
 
@@ -487,16 +493,18 @@ def _classify_for_diagonalizability(p: QMatrixPolynomial, tols: Tolerances) -> s
 
 def _diagonalize_companion(
     comp: QMatrix, klass: str, tols: Tolerances
-) -> CompanionDiagonalizability:
+) -> tuple[CompanionDiagonalizability, Diagonalization | None]:
+    """The verdict, and the diagonalization behind it when one ran and
+    succeeded (not for the diagonal class, whose values are a closed form)."""
     if klass == "diagonal":
-        return _diagonal_coefficient_result(comp, tols)
+        return _diagonal_coefficient_result(comp, tols), None
     try:
         diag = diagonalize(comp, tols)
     except NotDiagonalizableError:
         if klass != "none":
             raise
-        return CompanionDiagonalizability(diagonalizable=False, klass=klass)
-    return CompanionDiagonalizability(
+        return CompanionDiagonalizability(diagonalizable=False, klass=klass), None
+    outcome = CompanionDiagonalizability(
         diagonalizable=True,
         klass=klass,
         transform=diag.transform,
@@ -504,6 +512,7 @@ def _diagonalize_companion(
         kappa=condition_number(diag.transform, tols),
         residual=diag.residual,
     )
+    return outcome, diag
 
 
 def diagonalizable_companion(
@@ -517,7 +526,7 @@ def diagonalizable_companion(
     companion.
     """
     klass = _classify_for_diagonalizability(p, tols)
-    return _diagonalize_companion(companion(p, tols).matrix, klass, tols)
+    return _diagonalize_companion(companion(p, tols).matrix, klass, tols)[0]
 
 
 def diagonalizable_companion_linear(
@@ -551,7 +560,7 @@ def diagonalizable_companion_quadratic_unitary(
         raise PreconditionViolatedError(
             f"coefficients do not commute (residual {_commutator(u0, u1, tols)[0]:.3e})"
         )
-    return _diagonalize_companion(companion(p, tols).matrix, klass, tols)
+    return _diagonalize_companion(companion(p, tols).matrix, klass, tols)[0]
 
 
 def hw_type_poly(
@@ -560,7 +569,9 @@ def hw_type_poly(
     """Hoffman-Wielandt-type inequality for two companion matrices.
 
     The first polynomial's companion must be diagonalizable; the justifying
-    coefficient class (when one applies) is recorded in the report.
+    coefficient class (when one applies) is recorded in the report.  Its
+    standard eigenvalues are those of the diagonalization, as in
+    ``hw_type_check``, except for the diagonal class.
     """
     if p.size != q.size or p.degree != q.degree:
         raise ShapeMismatchError(
@@ -570,16 +581,13 @@ def hw_type_poly(
     klass = _classify_for_diagonalizability(p, tols)
     cp = companion(p, tols).matrix
     cq = companion(q, tols).matrix
-    outcome = _diagonalize_companion(cp, klass, tols)
+    outcome, diag = _diagonalize_companion(cp, klass, tols)
     if not outcome.diagonalizable:
         raise NotDiagonalizableError(
             "companion matrix of the first polynomial is not diagonalizable"
         )
-    return hw_report(
-        cp,
-        cq,
-        tols,
-        kind="hw-type-poly",
-        kappa=outcome.kappa,
-        theorem_class=klass,
-    )
+    if diag is None:
+        lam = standard_eigenvalues(cp, tols)
+    else:
+        lam = _checked_spectrum(cp, diag.values, diag.pairing_residual, tols)
+    return _report(lam, cp, cq, tols, "hw-type-poly", outcome.kappa, klass)

@@ -15,15 +15,18 @@ from quathw import (
     NonFiniteError,
     NotDiagonalizableError,
     NotNormalError,
+    PairingFailureError,
     QMatrix,
     assignment_cost,
     condition_number,
+    diagonalize,
     fold_conjugate_assignment,
     hw_check,
     hw_report,
     hw_type_check,
     min_cost_assignment,
     non_standard_counterexample,
+    standard_eigenvalues,
 )
 import quathw.hw as hw_module
 from quathw import clinalg
@@ -386,7 +389,47 @@ class TestHwCheck:
         assert r1.rhs == pytest.approx(r2.rhs, abs=1e-12)
 
 
+def report_bits(rep):
+    """The reported numbers of an InequalityReport, floats by their bits."""
+    kappa = None if rep.kappa is None else rep.kappa.hex()
+    return (rep.kind, rep.lhs.hex(), rep.rhs.hex(), rep.permutation, kappa, rep.holds,
+            rep.theorem_class)
+
+
 class TestHwTypeCheck:
+    @staticmethod
+    def separate_route(a, b, tols=DEFAULT_TOLERANCES):
+        kappa = condition_number(diagonalize(a, tols).transform, tols)
+        return hw_report(a, b, tols, kind="hw-type", kappa=kappa)
+
+    def test_reuses_the_diagonalization_spectrum(self):
+        # A's values come from its diagonalization instead of a second
+        # solve; the report is that of the separate calls, bit for bit
+        for trial in range(40):
+            rng = rng_for(305, trial)
+            n = 1 + trial % 6
+            if trial % 3:
+                a, _, _ = random_diagonalizable_qmatrix(rng, n)
+            else:
+                a, _ = random_normal_qmatrix(rng, n)
+            b = random_qmatrix(rng, n)
+            assert report_bits(hw_type_check(a, b)) == report_bits(self.separate_route(a, b))
+
+    def test_pairing_failure_is_the_first_operand_s(self):
+        # the reused spectrum passes standard_eigenvalues' pairing check
+        # before B is solved, so the error names A's residual
+        tight = DEFAULT_TOLERANCES.replace(pairing=1e-30)
+        for trial in range(6):
+            rng = rng_for(306, trial)
+            a, _, _ = random_diagonalizable_qmatrix(rng, 3 + trial % 3)
+            b = random_qmatrix(rng, a.rows)
+            with pytest.raises(PairingFailureError) as want:
+                standard_eigenvalues(a, tight)
+            for route in (hw_type_check, self.separate_route):
+                with pytest.raises(PairingFailureError) as got:
+                    route(a, b, tight)
+                assert str(got.value) == str(want.value)
+
     def test_normal_first_matrix_kappa_one(self):
         rng = rng_for(302, 0)
         a, _ = random_normal_qmatrix(rng, 3)

@@ -609,6 +609,16 @@ class TestCliChildProcess:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == []
 
+    def test_unitary_bound_rejects_overflowing_coefficients(self, tmp_path):
+        # A A* overflows for A = 1e160 I, so is_unitary tests A 2^-e: the
+        # precondition fails in one line, without a warning
+        big = QMatrix.identity(2) * 1e160
+        path = write_json(tmp_path, "big.json", polynomial_to_obj(QMatrixPolynomial((big, big))))
+        child = run_child(self.ENTRY, "bounds", path, "--class", "unitary")
+        assert child.returncode == 2, child.stderr
+        assert child.stdout == ""
+        assert child.stderr == "precondition violated: coefficient 0 is not unitary\n"
+
     @pytest.mark.parametrize("typed", [False, True], ids=["hw", "hw-type"])
     def test_overflowing_operand_is_numeric_failure(self, tmp_path, typed):
         # ||A||_F^2 and A A* overflow, so the normality test runs scaled, and

@@ -39,6 +39,7 @@ from quathw.generators import (
 from quathw.qmatrix import (
     _COUPLING,
     _PENCIL_T,
+    _center_spread,
     _cluster_indices,
     _fold_conjugate_spectrum,
 )
@@ -197,7 +198,40 @@ class TestAdjointIdentitySuite:
         assert not is_diagonalizable(jordan)
 
 
+def defining_frobenius_norm(c1, c2):
+    """sqrt(sum |c1|^2 + sum |c2|^2), and 2^e times the norm of the parts
+    scaled by 2^-e when the squares overflow while the entries are finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(np.abs(c1) ** 2) + np.sum(np.abs(c2) ** 2)))
+        big = max(float(np.abs(p).max()) for c in (c1, c2) for p in (c.real, c.imag))
+        if norm < math.inf or not big < math.inf:
+            return norm
+        e = math.frexp(big)[1]
+        return float(np.ldexp(defining_frobenius_norm(c1 * 2.0**-e, c2 * 2.0**-e), e))
+
+
 class TestNorms:
+    def test_frobenius_norm_is_the_defining_expression(self):
+        # bit for bit, at scales far from 1, on subnormals, where the squares
+        # overflow (the rescale path), with non-finite entries, and on the
+        # column-major parts of a conjugate transpose
+        rng = rng_for(14, 0)
+        samples = []
+        for scale in (2.0**-100, 1.0, 2.0**100, 5e-324, 1e-310, 1e160, 1e300):
+            for rows, cols in ((1, 1), (3, 4), (6, 6)):
+                a = random_qmatrix(rng, rows, cols) * scale
+                samples += [a, a.h]
+        for bad in (math.nan, math.inf, -math.inf):
+            c1 = rng.standard_normal((3, 3)) + 0j
+            c1[1, 2] = complex(1.0, bad)
+            samples.append(QMatrix(c1, rng.standard_normal((3, 3)) * 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in samples:
+                want = defining_frobenius_norm(a.c1, a.c2)
+                assert a.frobenius_norm().hex() == want.hex()
+                assert a.frobenius_norm().hex() == want.hex()  # the memoised value
+
     def test_frobenius_difference_golden(self):
         a = QMatrix.from_complex(np.diag([1 + 1j, 1.0]))
         b = QMatrix.from_complex(np.diag([1j, 1.0]))
@@ -410,6 +444,20 @@ class TestNormalRoute:
 
 
 class TestPredicates:
+    def test_products_that_overflow_rescale(self):
+        # A A* overflows: each predicate tests A 2^-e, without a warning
+        big = QMatrix.identity(2) * 1e160
+        u = random_unitary_qmatrix(rng_for(13, 1), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_unitary(big)
+            assert not is_unitary(u * 1e200)
+            assert not is_unitary(QMatrix.identity(2) * 1e-160)
+            assert is_unitary(u)
+            assert is_positive_semidefinite(big)
+            assert not is_positive_semidefinite(-big)
+            assert is_positive_semidefinite(QMatrix.from_real(np.diag([1e300, 0.0])))
+
     def test_golden_cases(self):
         assert is_normal(QMatrix.from_complex(np.diag([1 + 1j, 1.0])))
         assert is_unitary(QMatrix.diagonal([QJ, QJ]))
@@ -427,6 +475,17 @@ class TestPredicates:
 
 
 class TestDiagonalize:
+    def test_single_member_center_is_numpy_mean(self):
+        # the shortcut for a one-member group keeps np.mean's bits, which
+        # turn each signed zero positive
+        parts = [0.0, -0.0, 1.5, -2.0, 5e-324, -1e308]
+        w = np.array([complex(x, y) for x in parts for y in parts])
+        for i in range(len(w)):
+            center, spread = _center_spread(w, [i])
+            want = complex(np.mean(w[[i]]))
+            assert (center.real.hex(), center.imag.hex()) == (want.real.hex(), want.imag.hex())
+            assert spread == 0.0
+
     def test_clusters_match_chain_oracle(self):
         # lattice values at radii equal to lattice distances: exact ties
         for trial in range(600):
@@ -489,6 +548,7 @@ class TestDiagonalize:
         d = diagonalize(a)
         assert spectra_close(d.values, spec.values, tol=1e-10 * a.frobenius_norm())
         assert d.values == spec.values
+        assert d.pairing_residual == spec.pairing_residual
         # a quarter of each spectrum repeats, real and complex values alike
         for trial in range(1, 61):
             rng = rng_for(16, trial)
@@ -501,6 +561,7 @@ class TestDiagonalize:
             spec = standard_eigenvalues(a)
             assert spectra_close(d.values, spec.values, tol=1e-10 * a.frobenius_norm())
             assert d.values == spec.values
+            assert d.pairing_residual == spec.pairing_residual
 
     @pytest.mark.parametrize(
         "close, gap",
@@ -554,6 +615,31 @@ class TestConditionNumber:
 
 
 class TestMatrixAlgebra:
+    def test_results_are_read_only(self):
+        rng = rng_for(20, 2)
+        a, b = random_qmatrix(rng, 3), random_qmatrix(rng, 3)
+        results = [
+            a + b, a - b, -a, a * 2.0, 2.0 * a, a @ b, a.h, a.scale_left(QJ),
+            a.scale_right(QK), QMatrix.identity(3), QMatrix.zeros(2, 3),
+            QMatrix.diagonal([QI, 2.0]), QMatrix.block([[a, b]]),
+        ]
+        for r in results:
+            for part in (r.c1, r.c2):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0, 0] = 7.0
+
+    def test_constructor_copies_caller_arrays(self):
+        c1 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+        c2 = np.zeros((2, 2), dtype=complex)
+        a = QMatrix(c1, c2)
+        norm = a.frobenius_norm()
+        c1[0, 0] = 100.0
+        c2[1, 1] = 100.0
+        assert a.c1[0, 0] == 1.0 and a.c2[1, 1] == 0.0
+        assert c1.flags.writeable and c2.flags.writeable
+        assert a.frobenius_norm() == norm == math.sqrt(30.0)
+
     def test_shape_mismatch(self):
         from quathw import ShapeMismatchError
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from quathw import (
+    DEFAULT_TOLERANCES,
     NotDiagonalizableError,
     NotLinearError,
+    PairingFailureError,
     PreconditionViolatedError,
     QMatrix,
     QMatrixPolynomial,
@@ -26,14 +28,18 @@ from quathw import (
     diagonalizable_companion,
     diagonalizable_companion_linear,
     diagonalizable_companion_quadratic_unitary,
+    hw_report,
     hw_type_poly,
     monicize,
+    standard_eigenvalues,
     standard_eigenvalues_poly,
     standard_representative,
 )
+from quathw.qpoly import _is_doubly_stochastic
 from quathw.generators import (
     random_commuting_monic_polynomial,
     random_commuting_unitary_pair,
+    random_doubly_stochastic,
     random_doubly_stochastic_polynomial,
     random_psd_qmatrix,
     random_qmatrix,
@@ -290,6 +296,24 @@ class TestBounds:
         assert report.holds
         assert all(0.5 < m < 2.0 for m in report.moduli)
 
+    def test_doubly_stochastic_test_is_allclose(self):
+        # the direct |sum - 1| <= atol test is np.allclose with rtol = 0
+        rng = rng_for(414, 0)
+        tol = 1e-10
+        for trial in range(300):
+            n = 1 + trial % 5
+            m = random_doubly_stochastic(rng, n)
+            m[rng.integers(n), rng.integers(n)] += rng.choice([0.0, 0.5, 1.0, 1.5]) * tol * n
+            if trial % 50 == 0:
+                m[0, 0] = rng.choice([np.nan, np.inf, -np.inf])
+            ones = np.ones(n)
+            want = bool(
+                np.all(m >= -tol)
+                and np.allclose(m @ ones, ones, rtol=0.0, atol=tol * n)
+                and np.allclose(m.T @ ones, ones, rtol=0.0, atol=tol * n)
+            )
+            assert _is_doubly_stochastic(m, tol) == want
+
     def test_doubly_stochastic_rejects_general_matrix(self):
         p = QMatrixPolynomial((QMatrix.from_real([[0.5, 0.6], [0.5, 0.4]]), QMatrix.identity(2)))
         with pytest.raises(PreconditionViolatedError):
@@ -512,7 +536,60 @@ class TestDefectiveGoldenInstances:
             diagonalize(companion(p).matrix)
 
 
+def hw_type_poly_pairs(trial):
+    """(p, q) with p of each class that hw_type_poly diagonalizes: the
+    benchmark's unitary and commuting-unitary ones, psd and none, which are
+    diagonal at size 1."""
+    rng = rng_for(413, trial)
+    n = 1 + trial % 3
+    kind = trial % 4
+    if kind == 0:
+        p = random_unitary_polynomial(rng, n, 1)
+    elif kind == 1:
+        u0, u1 = random_commuting_unitary_pair(rng, n)
+        p = QMatrixPolynomial((u0, u1, QMatrix.identity(n)))
+    elif kind == 2:
+        p = QMatrixPolynomial((random_psd_qmatrix(rng, n), random_psd_qmatrix(rng, n)))
+    else:
+        p = QMatrixPolynomial((random_qmatrix(rng, n), random_qmatrix(rng, n)))
+    return p, random_unitary_polynomial(rng, n, p.degree)
+
+
+def hw_type_poly_separately(p, q, tols=DEFAULT_TOLERANCES):
+    """hw_type_poly as diagonalize, condition_number and hw_report calls."""
+    outcome = diagonalizable_companion(p, tols)
+    cp, cq = companion(p, tols).matrix, companion(q, tols).matrix
+    return hw_report(cp, cq, tols, kind="hw-type-poly", kappa=outcome.kappa,
+                     theorem_class=outcome.klass)
+
+
 class TestHwTypePoly:
+    def test_reuses_the_diagonalization_spectrum(self):
+        classes = set()
+        for trial in range(40):
+            p, q = hw_type_poly_pairs(trial)
+            got, want = hw_type_poly(p, q), hw_type_poly_separately(p, q)
+            classes.add(got.theorem_class)
+            for rep in (got, want):
+                assert rep.kappa is not None
+            assert (got.lhs.hex(), got.rhs.hex(), got.permutation, got.kappa.hex(), got.holds,
+                    got.theorem_class) == (want.lhs.hex(), want.rhs.hex(), want.permutation,
+                                           want.kappa.hex(), want.holds, want.theorem_class)
+        assert classes == {"unitary", "commuting-unitary", "psd", "none", "diagonal"}
+
+    def test_pairing_failure_is_the_first_companion_s(self):
+        tight = DEFAULT_TOLERANCES.replace(pairing=1e-30)
+        for trial in range(12):
+            p, q = hw_type_poly_pairs(trial)
+            if p.size == 1:  # a fold residual of 0 passes any pairing tolerance
+                continue
+            with pytest.raises(PairingFailureError) as want:
+                standard_eigenvalues(companion(p).matrix, tight)
+            for route in (hw_type_poly, hw_type_poly_separately):
+                with pytest.raises(PairingFailureError) as got:
+                    route(p, q, tight)
+                assert str(got.value) == str(want.value)
+
     def test_same_polynomial_zero_lhs(self):
         p = quadratic_unitary_p()
         rep = hw_type_poly(p, p)
