@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Compare every benchmark operation and CLI-matrix run of two source trees.
+
+    python3 scripts/bit_identity.py OTHER_SRC [--seeds 1 2 3] [--groups N]
+
+runs one child process per tree: one on the ``src/`` next to this script
+and one on OTHER_SRC (the ``src`` directory of another checkout, for
+example a ``git archive`` of the parent commit).  Each child runs the CLI
+matrix of ``scripts/cli_matrix.py`` and every operation of the
+``hw-normal``, ``poly-small`` and ``diag-kappa`` inputs for each seed,
+taking the workloads from this checkout's ``bench/workloads.py`` without
+changing it.  A result is known by a digest of its ``repr``, with arrays
+and quaternion matrices digested by their bytes; an exception by its type
+and message.  The digest of each workload's inputs is compared too.
+
+Each result that differs, or that only one tree gives, is printed as
+``workload seed group index: digest != digest``.  The exit code is 1 when
+anything differs and 0 otherwise.  ``--groups`` sets each workload's group
+count (default: its own), whose inputs begin with those of any larger count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("hw-normal", "poly-small", "diag-kappa")
+
+
+def _update(h, obj) -> None:
+    """Feed the repr of ``obj`` to ``h``, arrays and matrices by their bytes."""
+    import numpy as np
+    from quathw.qmatrix import QMatrix
+
+    if isinstance(obj, QMatrix):
+        for part in (obj.c1, obj.c2):
+            _update(h, part)
+    elif isinstance(obj, np.ndarray):
+        h.update(f"ndarray{obj.dtype}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        h.update(type(obj).__name__.encode() + b"(")
+        for f in dataclasses.fields(obj):
+            h.update(f.name.encode() + b"=")
+            _update(h, getattr(obj, f.name))
+        h.update(b")")
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            _update(h, item)
+        h.update(b"]")
+    elif isinstance(obj, dict):
+        _update(h, sorted(obj.items()))
+    else:
+        h.update(repr(obj).encode())
+
+
+def result_digest(run, *args) -> str:
+    h = hashlib.sha256()
+    try:
+        _update(h, run(*args))
+    except Exception as exc:
+        h.update(f"raised {type(exc).__name__}: {exc}".encode())
+    return h.hexdigest()[:16]
+
+
+def child(seeds: list[int], groups: int | None) -> None:
+    """Print ``key digest`` for every result of the tree on ``sys.path``."""
+    sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "scripts")]
+    import contextlib
+    import io
+
+    import cli_matrix
+    import workloads
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_matrix.run_all(cli_matrix.matrix(cli_matrix.fixture_names()))
+    for k, line in enumerate(out.getvalue().splitlines()):
+        code, sha_out, sha_err, argv = line.split(" ", 3)
+        print(f"cli-matrix - - {k}\t{code}:{sha_out[:16]}:{sha_err[:16]} {argv}")
+    for name in WORKLOADS:
+        kind = workloads.WORKLOADS[name]
+        workload = kind() if groups is None else kind(groups=groups)
+        for seed in seeds:
+            inputs = workload.inputs(seed)
+            print(f"{name} {seed} - inputs\t{workloads.digest(inputs)[:16]}")
+            for g, group in enumerate(inputs):
+                for i, case in enumerate(group):
+                    print(f"{name} {seed} {g} {i}\t{result_digest(workload.run, case)}")
+
+
+def collect(src: Path, seeds: list[int], groups: int | None) -> dict[str, str]:
+    argv = [sys.executable, str(Path(__file__).resolve()), str(src), "--child",
+            "--seeds", *map(str, seeds)]
+    if groups is not None:
+        argv += ["--groups", str(groups)]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return dict(line.split("\t") for line in done.stdout.splitlines())
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_src", type=Path, help="the src directory of the other tree")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--groups", type=int, default=None)
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.seeds, args.groups)
+        return 0
+    mine = collect(ROOT / "src", args.seeds, args.groups)
+    other = collect(args.other_src.resolve(), args.seeds, args.groups)
+    differ = 0
+    for key in sorted(mine.keys() | other.keys()):
+        if mine.get(key) != other.get(key):
+            differ += 1
+            print(f"{key}: {mine.get(key, 'missing')} != {other.get(key, 'missing')}")
+    print(f"{differ} of {len(mine.keys() | other.keys())} results differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

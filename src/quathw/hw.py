@@ -33,6 +33,7 @@ permutations on n values without increasing the total cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,16 @@ from .errors import (
     ShapeMismatchError,
 )
 from .qmatrix import (
+    _PRODUCT_SAFE,
+    NormalEigenvalues,
     QMatrix,
     StandardSpectrum,
     _checked_spectrum,
+    _normal_adjoint_eigenvalues,
+    _spectrum,
+    _square,
     _squared_norm,
+    adjoint,
     condition_number,
     diagonalize,
     is_normal,
@@ -276,18 +283,15 @@ def min_cost_assignment(
         raise LengthMismatchError("spectra must be nonempty")
     # every entry is abs(l - m) ** 2 bit for bit, so the optimum agrees
     # exactly with exhaustive enumeration: np.hypot rounds as abs() of a
-    # complex scalar, and x ** 2 is pow(), which x * x is not
+    # complex scalar, and np.float_power(x, 2.0) is pow(), which x * x is not
     with np.errstate(all="ignore"):
         diff = np.subtract.outer(np.array(lam), np.array(mu))
         dist = np.hypot(diff.real, diff.imag)
-    try:
-        if np.isfinite(dist).all():
-            cost = np.array([x ** 2 for x in dist.ravel().tolist()]).reshape(dist.shape)
-        else:  # raises as the scalar expression does
-            cost = np.array([[abs(l - m) ** 2 for m in mu] for l in lam], dtype=float)
-    except OverflowError as exc:  # a finite distance whose square is out of range
-        raise NonFiniteError("squared distances overflow") from exc
-    if not np.all(np.isfinite(cost)):
+        cost = np.float_power(dist, 2.0)
+    finite = np.isfinite(cost)
+    if not finite.all():
+        if (np.isfinite(dist) & ~finite).any():  # a finite distance, its square out of range
+            raise NonFiniteError("squared distances overflow")
         raise NonFiniteError("spectra contain NaN or infinite values, or distances overflow")
     perm = _lex_min_cost_permutation(cost, tols.tie)
     total = assignment_cost(lam, mu, perm)
@@ -417,23 +421,22 @@ def hw_report(
     if a.shape != b.shape or not a.is_square:
         raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
     lam = standard_eigenvalues(a, tols, normal=normal)
-    return _report(lam, a, b, tols, kind, kappa, theorem_class, normal=normal)
+    mu = standard_eigenvalues(b, tols, normal=normal)
+    return _report(lam, mu, a, b, tols, kind, kappa, theorem_class)
 
 
 def _report(
     lam: StandardSpectrum,
+    mu: StandardSpectrum,
     a: QMatrix,
     b: QMatrix,
     tols: Tolerances,
     kind: str,
     kappa: float | None = None,
     theorem_class: str | None = None,
-    *,
-    normal: bool = False,
 ) -> InequalityReport:
-    """``hw_report`` of equal square A and B, with A's standard eigenvalues
-    ``lam`` already computed."""
-    mu = standard_eigenvalues(b, tols, normal=normal)
+    """``hw_report`` of equal square A and B, with the standard eigenvalues
+    ``lam`` of A and ``mu`` of B already computed."""
     match = min_cost_assignment(lam.values, mu.values, tols)
     rhs = (1.0 if kappa is None else kappa * kappa) * _squared_norm(a - b)
     return InequalityReport(
@@ -448,6 +451,39 @@ def _report(
     )
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+_UNDERFLOW = 2.0**-400  # covers every underflow error of the normality bound
+
+
+def _proves_normal(x: QMatrix, found: NormalEigenvalues | None, tol: float) -> bool:
+    """True when the normal route's ``found`` for the square ``x`` proves
+    that ``is_normal(x, tol)`` holds, by the bound of ``hw_check``."""
+    fro = x.frobenius_norm()
+    if found is None or not fro < _PRODUCT_SAFE:
+        return False
+    m = 2 * x.rows
+    lift = 1.0 + _gamma(4 * m * m + 64)
+    gemm = _gamma(2 * m + 2)
+    chi_fro = math.sqrt(2.0) * (fro * lift + _UNDERFLOW)  # X, at least ||chi||_F
+    rho = 3.5 * found.residual + 8.0 * m * gemm * chi_fro + _UNDERFLOW
+    commutator = (
+        sum(found.commutators)
+        + 8.0 * gemm * chi_fro * chi_fro
+        + 4.0 * chi_fro * rho
+        + 6.0 * rho * rho
+    )
+    bound = lift**16 * (
+        commutator / math.sqrt(2.0)
+        + math.sqrt(2.0) * _gamma(m + 2) * chi_fro * chi_fro
+        + _UNDERFLOW
+    )
+    return bound <= tol * (1.0 + _squared_norm(x))
+
+
 def hw_check(
     a: QMatrix, b: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> InequalityReport:
@@ -456,18 +492,81 @@ def hw_check(
     A False ``holds`` on inputs satisfying the precondition signals a
     numerical or implementation fault, never expected behavior.
 
-    Both operands being normal, their standard eigenvalues come from one
-    Hermitian eigensolve of H + tK on each adjoint (Bunse-Gerstner, Byers &
-    Mehrmann 1993).  Each is accepted only on its residual certificate,
-    which the Hoffman-Wielandt theorem turns into an eigenvalue error bound
-    of about 64 * 2n * eps * ||chi||_F; an operand that fails it (normal
-    only to the predicate tolerance) takes the general eigensolver.
+    Each operand's standard eigenvalues come from one Hermitian eigensolve
+    of H + tK on its adjoint chi (Bunse-Gerstner, Byers & Mehrmann 1993).
+    They are accepted only on the residual certificate of
+    ``_normal_adjoint_eigenvalues``, which the Hoffman-Wielandt theorem
+    turns into an eigenvalue error bound of about 64 * 2n * eps * ||chi||_F;
+    an operand that fails it (normal only to the predicate tolerance) takes
+    the general eigensolver.
+
+    The precondition is ``is_normal(x, tols.predicate)`` for each operand,
+    and an accepted certificate usually proves it without the two
+    quaternion products ``is_normal`` forms.  The proof bounds the defect
+    that ``is_normal`` would compute, rounding included, and compares it
+    with ``tol (1 + ||A||_F^2)`` computed exactly as ``is_normal`` computes
+    it.  Let n be A's order, m = 2n, u = 2^-53, gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability, ch. 3), F the computed ||A||_F, and
+    lift = 1 + gamma_{4m^2+64}.  The route gives V (from eigh), the computed
+    G = V^H chi V, its accepted residual r (the mass of G outside the
+    groups plus ||V^H V - I||_F ||chi||_F, both computed) and c_k, the
+    computed ||B_k B_k^H - B_k^H B_k||_F of the block B_k of G of each
+    group of more than one index.
+
+    1. ||chi||_F = sqrt(2) ||A||_F <= X = sqrt(2) (F lift + a), with
+       a = 2^-400.  With V = U H its polar decomposition and T = U^H chi U,
+       ||T T^H - T^H T||_F = ||chi chi^H - chi^H chi||_F
+       = sqrt(2) ||A A* - A* A||_F, and ||T||_F = ||chi||_F.
+    2. Let eta = ||V^H V - I||_F.  V^H chi V = H T H, and |sqrt(s) - 1| <=
+       |s - 1| for the eigenvalues s of V^H V, so
+       ||V^H chi V - T||_F <= eta (2 + eta) ||chi||_F.  A complex product
+       of inner length k errs by at most gamma_{2k+2} |x|^T |y| per entry,
+       whether the complex or the real arithmetic is summed, so
+       ||fl(V^H V) - V^H V||_F <= gamma_{2m+2} ||V||_F^2 and
+       ||G - V^H chi V||_F <= gamma_{2m+2} ||chi||_F ||V||_F
+       (2 ||V||_2 + gamma_{2m+2} ||V||_F).  Acceptance gives
+       ||V^H V - I||_F <= 128 m u as computed, so ||V||_F^2 <= 1.01 m,
+       ||V||_2 <= 1.01 and eta < 1/2 for every m whose chi fits in memory
+       (m < 2^21).  The part R of T outside G's groups then has
+       ||R||_F <= rho = 3.5 r + 8 m gamma_{2m+2} X + a: the terms need
+       1 r, 2.5 r and about 4 m gamma_{2m+2} X, and the rest absorbs the
+       underflow (at most sqrt(N) 2^-537 in a norm of N terms).
+    3. T = B + R with B the part of G inside the groups, block diagonal, so
+       ||B||_2 <= X + rho and ||T T^H - T^H T||_F <= ||B B^H - B^H B||_F
+       + 4 X rho + 6 rho^2.  The blocks of B B^H - B^H B are those of the
+       groups, zero for singletons, so its norm is at most sum_k c_k plus
+       their product rounding, 2 gamma_{2m+2} ||G||_F^2 <= 8 gamma_{2m+2} X^2.
+    4. ``is_normal`` forms each quaternion product as two complex products
+       of inner length n and a subtraction, within gamma_{2n+2}
+       |chi(A)| |chi(A)^H| per entry, so its defect differs from
+       ||A A* - A* A||_F by at most sqrt(2) gamma_{m+2} X^2 (plus a).
+
+    So ``is_normal(x, tol)`` holds when
+    lift^16 ((sum_k c_k + 8 gamma_{2m+2} X^2 + 4 X rho + 6 rho^2) / sqrt(2)
+    + sqrt(2) gamma_{m+2} X^2 + a) <= tol (1 + F^2), where lift^16 covers
+    every relative rounding of the computed norms, subtractions and the
+    bound's own evaluation (fewer than 16 factors, each at most lift).  On
+    random normal operands the left side is about 4.5e-11 ||A||_F^2 at
+    n = 32 and 1.7e-10 ||A||_F^2 at n = 64, well below the default
+    predicate tolerance of 1e-8.  The proof is not tried, and ``is_normal``
+    runs unchanged, when the certificate was not accepted, when F >= 2^500
+    (``is_normal`` then rescales; below it no square here overflows) or
+    when a quantity is not finite; ``is_normal`` also runs when the bound
+    is too large.  Errors are raised in the order of the separate calls: a non-square A,
+    NotNormalError for A, a non-square B, NotNormalError for B, unequal
+    shapes, then each operand's eigensolver fallback and pairing check.
     """
-    if not is_normal(a, tols.predicate):
-        raise NotNormalError("first operand is not normal at the configured tolerance")
-    if not is_normal(b, tols.predicate):
-        raise NotNormalError("second operand is not normal at the configured tolerance")
-    return hw_report(a, b, tols, kind="hw", normal=True)
+    operands = []
+    for x, which in ((a, "first"), (b, "second")):
+        chi = adjoint(_square(x))
+        found = _normal_adjoint_eigenvalues(chi)
+        if not (_proves_normal(x, found, tols.predicate) or is_normal(x, tols.predicate)):
+            raise NotNormalError(f"{which} operand is not normal at the configured tolerance")
+        operands.append((x, chi, found))
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
+    lam, mu = (_spectrum(x, chi, found, tols) for x, chi, found in operands)
+    return _report(lam, mu, a, b, tols, "hw")
 
 
 def hw_type_check(
@@ -484,7 +583,7 @@ def hw_type_check(
     diag = diagonalize(a, tols)  # raises NotDiagonalizableError
     kappa = condition_number(diag.transform, tols)
     lam = _checked_spectrum(a, diag.values, diag.pairing_residual, tols)
-    return _report(lam, a, b, tols, "hw-type", kappa)
+    return _report(lam, standard_eigenvalues(b, tols), a, b, tols, "hw-type", kappa)
 
 
 # -- the built-in non-standard right-eigenvalue demonstration ----------------

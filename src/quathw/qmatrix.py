@@ -373,8 +373,9 @@ def _square(a: QMatrix) -> QMatrix:
 
 
 def is_hermitian(a: QMatrix, tol: float = 1e-8) -> bool:
+    """||A - A*||_F <= tol (1 + ||A||_F), safe from overflow."""
     _square(a)
-    return (a - a.h).frobenius_norm() <= tol * (1.0 + a.frobenius_norm())
+    return _rescaled_test(a, tol, 1, lambda x, c: (x - x.h).frobenius_norm())
 
 
 def _rescaled_test(a: QMatrix, tol: float, degree: int, defect) -> bool:
@@ -552,7 +553,23 @@ def _coupled_groups(coupled: np.ndarray) -> np.ndarray:
     return np.array([find(i) for i in range(len(parent))])
 
 
-def _normal_adjoint_eigenvalues(chi: np.ndarray) -> np.ndarray | None:
+@dataclass(frozen=True)
+class NormalEigenvalues:
+    """The normal route's eigenvalues of chi and what its certificate
+    established (``_normal_adjoint_eigenvalues``).
+
+    ``residual`` is the accepted residual: the mass of G = V^H chi V outside
+    the groups plus ||V^H V - I||_F ||chi||_F.  ``commutators`` holds
+    ||B B^H - B^H B||_F for the block B of G of each group of more than one
+    index, empty when every group is a singleton.
+    """
+
+    values: np.ndarray
+    residual: float
+    commutators: tuple[float, ...]
+
+
+def _normal_adjoint_eigenvalues(chi: np.ndarray) -> NormalEigenvalues | None:
     """Eigenvalues of a normal adjoint from one Hermitian eigensolve, or None.
 
     The Hermitian part H and the skew-Hermitian part K of a normal chi
@@ -574,6 +591,11 @@ def _normal_adjoint_eigenvalues(chi: np.ndarray) -> np.ndarray | None:
     None, and the caller falls back to the general eigensolver, when it
     exceeds 64 * 2n * eps * ||chi||_F.  The test is relative, so scaling chi
     by a power of two never changes the outcome.
+
+    The values come with the accepted residual and the commutator norm of
+    each group's block.  Together they bound ||chi chi^H - chi^H chi||_F
+    without forming chi chi^H, which is how ``hw_check`` proves its
+    operands normal (the bound is in its docstring).
     """
     m = chi.shape[0]
     with np.errstate(over="ignore"):
@@ -600,15 +622,23 @@ def _normal_adjoint_eigenvalues(chi: np.ndarray) -> np.ndarray | None:
         off = np.where(labels[:, np.newaxis] == labels[np.newaxis, :], 0.0, g)
     outside = float(np.linalg.norm(off))
     defect = float(np.linalg.norm(vh @ v - np.eye(m)))
-    if not outside + defect * scale <= _CERTIFICATE * unit:
+    residual = outside + defect * scale
+    if not residual <= _CERTIFICATE * unit:
         return None
     values = np.diagonal(g).copy()
+    commutators = []
     if labels is not None:
         sizes = np.bincount(labels, minlength=m)
         for r in np.flatnonzero(sizes > 1):
             idx = np.flatnonzero(labels == r)
-            values[idx] = np.linalg.eigvals(g[np.ix_(idx, idx)])
-    return values[np.lexsort((values.imag, values.real))]
+            block = g[np.ix_(idx, idx)]
+            values[idx] = np.linalg.eigvals(block)
+            block_h = block.conj().T
+            with np.errstate(over="ignore", invalid="ignore"):  # not finite past 2^250 or so
+                commutators.append(float(np.linalg.norm(block @ block_h - block_h @ block)))
+    return NormalEigenvalues(
+        values[np.lexsort((values.imag, values.real))], residual, tuple(commutators)
+    )
 
 
 def standard_eigenvalues(
@@ -620,11 +650,10 @@ def standard_eigenvalues(
     pairs.  Raises PairingFailureError when the fold exceeds the pairing
     tolerance, which signals eigensolver inaccuracy rather than bad input.
 
-    ``normal=True`` promises a normal A (``hw_check`` has checked it).  The
-    spectrum of chi(A) then comes from one Hermitian eigensolve of H + tK,
-    with H and K the Hermitian and skew-Hermitian parts of chi(A)
-    (Bunse-Gerstner, Byers & Mehrmann 1993; see
-    ``_normal_adjoint_eigenvalues``).  It is accepted only when the
+    ``normal=True`` promises a normal A.  The spectrum of chi(A) then comes
+    from one Hermitian eigensolve of H + tK, with H and K the Hermitian and
+    skew-Hermitian parts of chi(A) (Bunse-Gerstner, Byers & Mehrmann 1993;
+    see ``_normal_adjoint_eigenvalues``).  It is accepted only when the
     residual it drops is at most 64 * 2n * eps * ||chi(A)||_F, which by the
     Hoffman-Wielandt theorem bounds the eigenvalue error; it then agrees
     with the general eigensolver to about 1e-15 ||A||_F.  Otherwise, and
@@ -632,12 +661,18 @@ def standard_eigenvalues(
     spectra go through the same fold and pairing check.
     """
     _square(a)
-    fro = a.frobenius_norm()
     chi = adjoint(a)
-    w = _normal_adjoint_eigenvalues(chi) if normal else None
-    if w is None:
-        w = clinalg.eigenvalues(chi).values
-    reps, residual, _ = _fold_conjugate_spectrum(w, fro, tols)
+    return _spectrum(a, chi, _normal_adjoint_eigenvalues(chi) if normal else None, tols)
+
+
+def _spectrum(
+    a: QMatrix, chi: np.ndarray, found: NormalEigenvalues | None, tols: Tolerances
+) -> StandardSpectrum:
+    """``standard_eigenvalues`` of A, whose adjoint is ``chi``, from the
+    normal route's ``found``, or from the general eigensolver when it is
+    None."""
+    w = clinalg.eigenvalues(chi).values if found is None else found.values
+    reps, residual, _ = _fold_conjugate_spectrum(w, a.frobenius_norm(), tols)
     reps.sort(key=lambda z: (z.real, z.imag))
     return _checked_spectrum(a, reps, residual, tols)
 

@@ -590,4 +590,6 @@ def hw_type_poly(
         lam = standard_eigenvalues(cp, tols)
     else:
         lam = _checked_spectrum(cp, diag.values, diag.pairing_residual, tols)
-    return _report(lam, cp, cq, tols, "hw-type-poly", outcome.kappa, klass)
+    return _report(
+        lam, standard_eigenvalues(cq, tols), cp, cq, tols, "hw-type-poly", outcome.kappa, klass
+    )

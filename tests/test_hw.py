@@ -1,6 +1,7 @@
 """Assignment kernel, conjugate fold, and inequality checks."""
 
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -24,6 +25,7 @@ from quathw import (
     hw_check,
     hw_report,
     hw_type_check,
+    is_normal,
     min_cost_assignment,
     non_standard_counterexample,
     standard_eigenvalues,
@@ -34,12 +36,15 @@ from quathw.generators import (
     random_diagonalizable_qmatrix,
     random_normal_qmatrix,
     random_qmatrix,
+    random_unitary_qmatrix,
     rng_for,
     upper_half_values,
 )
+from quathw.qmatrix import _COUPLING
 
 import oracles
 from oracles import exhaustive_lex_within, exhaustive_min_assignment
+from test_qmatrix import rotated_jordan_block
 
 complex_values = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=8.0, allow_nan=False, allow_infinity=False
@@ -141,6 +146,35 @@ class TestMinCostAssignment:
     def test_non_finite_spectra_rejected(self, lam, mu):
         with pytest.raises(NonFiniteError):
             min_cost_assignment(lam, mu)
+
+    def test_cost_matrix_is_the_scalar_expression(self):
+        # bit for bit on subnormal distances and squares, at 2^-500 and
+        # 2^500, and on distances near 1e154 whose squares are just finite
+        tiny = 5e-324
+        lam = [0.0, tiny, 3 * tiny + 2j * tiny, 2.0**-500, 1e154, 1 + 1j]
+        mu = [7 * tiny, -(2.0**-501) * 1j, 2.0**500, 0.5, 2.0**-520, 1.1e154]
+        res = min_cost_assignment(lam, mu)
+        want = np.array([[abs(l - m) ** 2 for m in mu] for l in lam])
+        assert res.cost_matrix.tobytes() == want.tobytes()
+        assert np.count_nonzero((res.cost_matrix > 0) & (res.cost_matrix < 2.0**-1022)) > 0
+
+    @pytest.mark.parametrize(
+        "lam, mu, message",
+        [
+            ([1e160], [0.0], "squared distances overflow"),
+            ([1.2e154, 0.0], [-1.2e154, 1.0], "squared distances overflow"),
+            ([math.inf, 1e160], [0.0, 0.0], "squared distances overflow"),
+            ([1.7e308, 1.7e308], [-1.7e308, -1.7e308], "spectra contain NaN"),
+            ([math.nan, 1.0], [0.0, 1.0], "spectra contain NaN"),
+        ],
+    )
+    def test_overflowing_squares_raise_without_warning(self, lam, mu, message):
+        # a finite distance whose square overflows names the overflow, as
+        # the scalar abs(l - m) ** 2 does, whatever else is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=message):
+                min_cost_assignment(lam, mu)
 
     def test_lattice_ties_match_tie_aware_oracle(self):
         # Gaussian-integer spectra have many exactly tied optima
@@ -387,6 +421,136 @@ class TestHwCheck:
         r2 = hw_check(ap, bp)
         assert r1.lhs == pytest.approx(r2.lhs, abs=1e-12)
         assert r1.rhs == pytest.approx(r2.rhs, abs=1e-12)
+
+
+def parent_order_hw_check(a, b, tols):
+    """``hw_check`` as the separate calls: both normality tests, then the report."""
+    if not is_normal(a, tols.predicate):
+        raise NotNormalError("first operand is not normal at the configured tolerance")
+    if not is_normal(b, tols.predicate):
+        raise NotNormalError("second operand is not normal at the configured tolerance")
+    return hw_report(a, b, tols, kind="hw", normal=True)
+
+
+def outcome(check, a, b, tols):
+    """The report, or the error class and message, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = check(a, b, tols)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def nearly_normal(seed, n, eps):
+    """U (D + eps N) U* with D a random diagonal and N strictly upper."""
+    rng = rng_for(402, seed)
+    u = random_unitary_qmatrix(rng, n)
+    upper = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    return u @ (QMatrix.diagonal(upper_half_values(rng, n)) + QMatrix(upper) * eps) @ u.h
+
+
+def precondition_operands():
+    """Operands by name: normal, nearly normal, defective, huge and non-finite."""
+    rng = rng_for(401)
+    t = (math.sqrt(5.0) - 1.0) / 2.0
+    u5, u6 = random_unitary_qmatrix(rng, 5), random_unitary_qmatrix(rng, 6)
+    nan, inf = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+    nan[0, 1], inf[1, 1] = math.nan, math.inf
+    ops = {
+        "normal": random_normal_qmatrix(rng, 6)[0],
+        "repeated": u6 @ QMatrix.diagonal([1 + 1j] * 3 + [-2 + 0.5j] * 2 + [0.3j]) @ u6.h,
+        # Re + t Im coincide: eigh mixes the vectors, giving 2x2 and 3x3 groups
+        "pencil-groups": u5 @ QMatrix.diagonal(
+            [1 + 1j, complex(1 - t, 2), 0.5, complex(0.5 - 0.25 * t, 0.25), -1.5]
+        ) @ u5.h,
+        "jordan": rotated_jordan_block(2, 1.5, 0),
+        "nilpotent-1e160": QMatrix.from_real([[0.0, 1e160], [0.0, 0.0]]),
+        "identity-1e160": QMatrix.identity(2) * 1e160,
+        "nan": QMatrix(nan),
+        "inf": QMatrix(inf),
+        "non-square": random_qmatrix(rng, 2, 3),
+    }
+    for eps in (1e-6, 1e-9, 1e-12, 1e-14):
+        ops[f"eps-{eps:g}"] = nearly_normal(0, 6, eps)
+    return ops
+
+
+PRECONDITION_OPERANDS = precondition_operands()
+
+
+class TestHwCheckPrecondition:
+    """``hw_check`` skips ``is_normal`` only where the normal route proves
+    it would hold: every outcome is that of the separate calls."""
+
+    @staticmethod
+    def check_same_outcome(a, b, tols):
+        (want, want_warnings), (got, got_warnings) = (
+            outcome(check, a, b, tols) for check in (parent_order_hw_check, hw_check)
+        )
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert report_bits(got) == report_bits(want)
+        assert got_warnings == want_warnings
+
+    @pytest.mark.parametrize("predicate", [1e-6, 1e-8, 1e-12, 1e-15])
+    @pytest.mark.parametrize("name", sorted(PRECONDITION_OPERANDS))
+    def test_same_outcome_as_separate_calls(self, name, predicate):
+        tols = DEFAULT_TOLERANCES.replace(predicate=predicate)
+        x = PRECONDITION_OPERANDS[name]
+        partner = random_normal_qmatrix(rng_for(403), x.rows)[0]
+        for a, b in ((x, partner), (partner, x), (x, x)):
+            self.check_same_outcome(a, b, tols)
+
+    @pytest.mark.parametrize("predicate", [1e-6, 1e-8, 1e-12, 1e-15])
+    def test_random_pairs_and_shape_mismatch(self, predicate):
+        tols = DEFAULT_TOLERANCES.replace(predicate=predicate)
+        rng = rng_for(404)
+        pairs = [tuple(random_normal_qmatrix(rng, n)[0] for _ in range(2)) for n in (1, 3, 32)]
+        pairs.append((random_normal_qmatrix(rng, 2)[0], random_normal_qmatrix(rng, 3)[0]))
+        pairs.append((PRECONDITION_OPERANDS["eps-1e-06"], random_normal_qmatrix(rng, 3)[0]))
+        for a, b in pairs:
+            self.check_same_outcome(a, b, tols)
+
+    @staticmethod
+    def count_is_normal(monkeypatch):
+        calls = []
+        original = hw_module.is_normal
+        monkeypatch.setattr(
+            hw_module, "is_normal", lambda x, tol: calls.append(x.shape) or original(x, tol)
+        )
+        return calls
+
+    def test_normal_pair_needs_no_products(self, monkeypatch):
+        calls = self.count_is_normal(monkeypatch)
+        rng = rng_for(405)
+        a, b = (random_normal_qmatrix(rng, 32)[0] for _ in range(2))
+        assert hw_check(a, b).holds
+        assert calls == []
+
+    def test_unproved_operand_runs_is_normal(self, monkeypatch):
+        calls = self.count_is_normal(monkeypatch)
+        b = random_normal_qmatrix(rng_for(406), 6)[0]
+        # at 1e-10 the normal operand is proved, and the eps = 1e-9 one is
+        # not normal: the bound cannot prove it, so is_normal runs for it alone
+        strict = DEFAULT_TOLERANCES.replace(predicate=1e-10)
+        with pytest.raises(NotNormalError, match="second operand"):
+            hw_check(b, PRECONDITION_OPERANDS["eps-1e-09"], strict)
+        assert calls == [(6, 6)]
+        # G's entries at 0.75 of the coupling threshold: no groups, and a
+        # rejected certificate, so is_normal runs and holds
+        calls.clear()
+        n = 64
+        u = random_unitary_qmatrix(rng_for(134), n)
+        d = np.linspace(-1.0, 1.0, n)
+        unit = 2 * n * np.finfo(float).eps * np.sqrt(2.0) * np.linalg.norm(d)
+        phases = np.exp(2j * np.pi * rng_for(407).random((n, n)))
+        upper = QMatrix.from_complex(np.triu(0.75 * _COUPLING * unit * phases, 1))
+        a = u @ (QMatrix.diagonal(list(d)) + upper) @ u.h
+        assert hw_check(a, random_normal_qmatrix(rng_for(408), n)[0]).holds
+        assert calls == [(n, n)]
 
 
 def report_bits(rep):

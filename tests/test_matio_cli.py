@@ -363,6 +363,21 @@ class TestCli:
         assert out.returncode == 2
         assert "positive integer" in out.stderr
 
+    def test_bit_identity_script_against_the_same_tree(self):
+        # one child per tree, each running the CLI matrix and every
+        # operation of one group of hw-normal, poly-small and diag-kappa
+        script = Path(__file__).resolve().parents[1] / "scripts" / "bit_identity.py"
+        src = Path(quathw.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, str(script), str(src), "--seeds", "1", "--groups", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        differ, _, total, *_ = out.stdout.split()
+        # 340 CLI runs, 3 input digests, 12 + 20 + 5 operations
+        assert (differ, total) == ("0", "380")
+
     def test_cli_matrix_script(self, cli_matrix, capsys):
         runs = cli_matrix.matrix(cli_matrix.fixture_names())
         assert len(runs) == 340

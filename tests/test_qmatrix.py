@@ -458,6 +458,19 @@ class TestPredicates:
             assert not is_positive_semidefinite(-big)
             assert is_positive_semidefinite(QMatrix.from_real(np.diag([1e300, 0.0])))
 
+    def test_hermitian_difference_that_overflows_rescales(self):
+        # A - A* and ||A||_F both overflow for this skew-Hermitian A, and
+        # inf <= inf must not read as Hermitian
+        skew = QMatrix(np.array([[0, 1.5e308], [-1.5e308, 0]], dtype=complex))
+        hermitian = QMatrix(np.array([[1.5e308, 1e308j], [-1e308j, -1.5e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_hermitian(skew)
+            assert not is_positive_semidefinite(skew)
+            assert is_hermitian(hermitian)
+            assert is_hermitian(QMatrix.identity(2) * 1e160)
+            assert not is_hermitian(QMatrix.from_complex(np.eye(2) * 1e160j))
+
     def test_golden_cases(self):
         assert is_normal(QMatrix.from_complex(np.diag([1 + 1j, 1.0])))
         assert is_unitary(QMatrix.diagonal([QJ, QJ]))
