@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernel.
 
 Thin, contract-enforcing layer over LAPACK (through numpy): general and
-Hermitian eigendecompositions, spectral norm, rank, and inverse.
+Hermitian eigendecompositions, singular values, spectral norm and inverse.
 Matrices are plain complex ``numpy.ndarray`` values; nothing here knows
 about quaternions.
 """
@@ -34,10 +34,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray | None = None
     residual: float | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
 
 
 def _as_square_complex(a: np.ndarray) -> np.ndarray:
@@ -109,14 +105,6 @@ def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     s = singular_values(a)
     return float(s[0]) if s.size else 0.0
-
-
-def rank(a: np.ndarray, tol: float = 1e-10) -> int:
-    """Number of singular values above tol * sigma_max."""
-    s = singular_values(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def inverse(a: np.ndarray, pivot_tol: float = 1e-13) -> np.ndarray:

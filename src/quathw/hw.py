@@ -169,13 +169,16 @@ def _tie_certificate(
     """
     n = cost.shape[0]
     reduced = cost - u[:, np.newaxis] - v
-    bound = slack + rounding * (np.abs(cost) + np.abs(u)[:, np.newaxis] + np.abs(v))
+    # sums near the top of the range may overflow to inf, a bound that prunes nothing
+    with np.errstate(over="ignore"):
+        bound = slack + rounding * (np.abs(cost) + np.abs(u)[:, np.newaxis] + np.abs(v))
     order = np.arange(n)
     candidate = (reduced <= bound) & (order < row_col[:, np.newaxis])
     candidate &= col_row > order[:, np.newaxis]
     if not candidate.any():
         return np.zeros(n, dtype=bool)
-    scale = np.abs(cost).max() + np.abs(u).max() + np.abs(v).max()
+    with np.errstate(over="ignore"):
+        scale = np.abs(cost).max() + np.abs(u).max() + np.abs(v).max()
     # step[c, d]: column c leads by its matched row and a tight edge to d
     step = (reduced <= n * (slack + 2.0 * rounding * scale))[col_row]
     # breadth-first from the candidate columns: reach[k, d] once d is
@@ -237,7 +240,8 @@ def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
         chosen = current
         if swapped or flagged[i]:
             reduced = cost[i] - u[i] - v
-            bound = slack + rounding * (np.abs(cost[i]) + abs(u[i]) + np.abs(v))
+            with np.errstate(over="ignore"):  # as in _tie_certificate
+                bound = slack + rounding * (np.abs(cost[i]) + abs(u[i]) + np.abs(v))
             for j in np.flatnonzero((active & (reduced <= bound))[:current]):
                 tu, tv, tcol_row, tactive = u.copy(), v.copy(), col_row.copy(), active.copy()
                 displaced = int(tcol_row[j])
@@ -245,7 +249,7 @@ def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
                 tcol_row[j] = tcol_row[current] = -1
                 _augment(cost, tu, tv, tcol_row, tactive, displaced)
                 rest = _row_sum(cost, tcol_row, tactive, i + 1)
-                if fixed + cost[i][j] + rest <= best + slack:
+                if fixed + float(cost[i, j]) + rest <= best + slack:
                     chosen = int(j)
                     u, v, col_row, active = tu, tv, tcol_row, tactive
                     swapped = True
@@ -254,7 +258,7 @@ def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
             active[current] = False
             col_row[current] = -1
         perm.append(chosen)
-        fixed += cost[i][chosen]
+        fixed += float(cost[i, chosen])  # a Python sum overflows to inf silently
     return perm
 
 
@@ -408,20 +412,16 @@ def hw_report(
     kind: str = "hw",
     kappa: float | None = None,
     theorem_class: str | None = None,
-    *,
-    normal: bool = False,
 ) -> InequalityReport:
     """Assemble the matched-cost vs Frobenius-bound report without preconditions.
 
     Used directly to *demonstrate* failures on inputs that do not satisfy a
     theorem's hypotheses (for example non-normal block companion matrices).
-    ``normal`` is passed on to ``standard_eigenvalues`` for both operands.
     A ``kappa`` weights the bound: rhs is kappa^2 ||A - B||_F^2.
     """
     if a.shape != b.shape or not a.is_square:
         raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
-    lam = standard_eigenvalues(a, tols, normal=normal)
-    mu = standard_eigenvalues(b, tols, normal=normal)
+    lam, mu = standard_eigenvalues(a, tols), standard_eigenvalues(b, tols)
     return _report(lam, mu, a, b, tols, kind, kappa, theorem_class)
 
 

@@ -168,20 +168,6 @@ def report_to_obj(report: InequalityReport) -> dict:
     return obj
 
 
-def report_from_obj(obj: dict) -> InequalityReport:
-    return InequalityReport(
-        kind=obj["kind"],
-        lhs=float(obj["lhs"]),
-        rhs=float(obj["rhs"]),
-        holds=bool(obj["holds"]),
-        slack=float(obj["slack"]),
-        permutation=tuple(int(j) - 1 for j in obj["permutation"]),
-        kappa=float(obj["kappa"]) if "kappa" in obj else None,
-        theorem_class=obj.get("theorem_class"),
-        digests=dict(obj.get("digests", {})),
-    )
-
-
 def _complex_pair(value: Any) -> list[float]:
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -192,10 +178,3 @@ def emit_json(obj: Any) -> str:
     """Machine format: one JSON document, keys sorted, full float precision."""
     return json.dumps(obj, sort_keys=True, default=_complex_pair)
 
-
-def emit_report(report: InequalityReport) -> str:
-    return emit_json(report_to_obj(report))
-
-
-def parse_report(text: str) -> InequalityReport:
-    return report_from_obj(json.loads(text))

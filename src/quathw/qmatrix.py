@@ -290,10 +290,6 @@ def from_adjoint(m: np.ndarray, tol: float = 1e-10) -> QMatrix:
     return QMatrix(m11, m12)
 
 
-def frobenius_norm(a: QMatrix) -> float:
-    return a.frobenius_norm()
-
-
 def _frobenius_norm(a: QMatrix) -> float:
     # sqrt(sum |c1|^2 + sum |c2|^2), squared in place: x * x is x ** 2
     with np.errstate(over="ignore"):
@@ -436,11 +432,6 @@ def is_positive_semidefinite(a: QMatrix, tol: float = 1e-8) -> bool:
     ))
 
 
-def is_invertible(a: QMatrix, tol: float = 1e-10) -> bool:
-    _square(a)
-    return clinalg.rank(adjoint(a), tol=tol) == 2 * a.rows
-
-
 def is_diagonal(a: QMatrix, tol: float = 1e-10) -> bool:
     _square(a)
     off1 = a.c1 - np.diag(np.diag(a.c1))
@@ -467,9 +458,6 @@ class StandardSpectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=complex)
-
 
 def _fold_conjugate_spectrum(
     w: np.ndarray, scale: float, tols: Tolerances
@@ -491,11 +479,6 @@ def _fold_conjugate_spectrum(
     inf).  ``np.hypot`` rounds
     exactly as ``abs`` of a complex scalar (``np.abs`` on complex arrays
     does not, in the last bit), so ties and residuals come out bit for bit.
-    The input comes from either route of ``standard_eigenvalues``: the
-    general eigensolver, or for a normal A one Hermitian eigensolve of
-    H + tK (Bunse-Gerstner, Byers & Mehrmann 1993), accepted when its
-    dropped residual, which bounds the eigenvalue error by the
-    Hoffman-Wielandt theorem, is at most 64 * 2n * eps * ||chi||_F.
     """
     if len(w) % 2:
         raise PairingFailureError("adjoint spectrum has odd length")
@@ -641,28 +624,15 @@ def _normal_adjoint_eigenvalues(chi: np.ndarray) -> NormalEigenvalues | None:
     )
 
 
-def standard_eigenvalues(
-    a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES, *, normal: bool = False
-) -> StandardSpectrum:
+def standard_eigenvalues(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> StandardSpectrum:
     """Standard eigenvalues of a square quaternion matrix.
 
     Computes the spectrum of the complex adjoint and folds it into conjugate
     pairs.  Raises PairingFailureError when the fold exceeds the pairing
     tolerance, which signals eigensolver inaccuracy rather than bad input.
-
-    ``normal=True`` promises a normal A.  The spectrum of chi(A) then comes
-    from one Hermitian eigensolve of H + tK, with H and K the Hermitian and
-    skew-Hermitian parts of chi(A) (Bunse-Gerstner, Byers & Mehrmann 1993;
-    see ``_normal_adjoint_eigenvalues``).  It is accepted only when the
-    residual it drops is at most 64 * 2n * eps * ||chi(A)||_F, which by the
-    Hoffman-Wielandt theorem bounds the eigenvalue error; it then agrees
-    with the general eigensolver to about 1e-15 ||A||_F.  Otherwise, and
-    always with ``normal=False``, the general eigensolver runs.  Both
-    spectra go through the same fold and pairing check.
     """
     _square(a)
-    chi = adjoint(a)
-    return _spectrum(a, chi, _normal_adjoint_eigenvalues(chi) if normal else None, tols)
+    return _spectrum(a, adjoint(a), None, tols)
 
 
 def _spectrum(
@@ -869,11 +839,3 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
         residual=float(residual),
         pairing_residual=float(pairing_residual),
     )
-
-
-def is_diagonalizable(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    try:
-        diagonalize(a, tols)
-        return True
-    except NotDiagonalizableError:
-        return False

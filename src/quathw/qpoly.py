@@ -480,15 +480,20 @@ def _classify_for_diagonalizability(p: QMatrixPolynomial, tols: Tolerances) -> s
         ):
             return "psd"
         return "none"
-    if p.degree == 2 and p.is_monic(tol=1e-10):
-        u0, u1 = p.coefficients[0], p.coefficients[1]
-        if (
-            is_unitary(u0, tols.predicate)
-            and is_unitary(u1, tols.predicate)
-            and _commutator(u0, u1, tols)[1]
-        ):
-            return "commuting-unitary"
+    if p.degree == 2 and p.is_monic(tol=1e-10) and _commuting_unitary_failure(p, tols) is None:
+        return "commuting-unitary"
     return "none"
+
+
+def _commuting_unitary_failure(p: QMatrixPolynomial, tols: Tolerances) -> str | None:
+    """The first hypothesis of the commuting-unitary class that the monic
+    quadratic ``p`` fails, worded as an error, or None when it meets them."""
+    u0, u1 = p.coefficients[0], p.coefficients[1]
+    for name, u in (("constant", u0), ("linear", u1)):
+        if not is_unitary(u, tols.predicate):
+            return f"{name} coefficient is not unitary"
+    comm, commute = _commutator(u0, u1, tols)
+    return None if commute else f"coefficients do not commute (residual {comm:.3e})"
 
 
 def _diagonalize_companion(
@@ -551,16 +556,10 @@ def diagonalizable_companion_quadratic_unitary(
         raise PreconditionViolatedError(f"expected degree 2, got degree {p.degree}")
     if not p.is_monic(tol=1e-10):
         raise PreconditionViolatedError("polynomial must be monic")
-    klass = _classify_for_diagonalizability(p, tols)
-    if klass != "commuting-unitary":
-        u0, u1 = p.coefficients[0], p.coefficients[1]
-        for name, u in (("constant", u0), ("linear", u1)):
-            if not is_unitary(u, tols.predicate):
-                raise PreconditionViolatedError(f"{name} coefficient is not unitary")
-        raise PreconditionViolatedError(
-            f"coefficients do not commute (residual {_commutator(u0, u1, tols)[0]:.3e})"
-        )
-    return _diagonalize_companion(companion(p, tols).matrix, klass, tols)[0]
+    failure = _commuting_unitary_failure(p, tols)
+    if failure is not None:
+        raise PreconditionViolatedError(failure)
+    return _diagonalize_companion(companion(p, tols).matrix, "commuting-unitary", tols)[0]
 
 
 def hw_type_poly(

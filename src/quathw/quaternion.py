@@ -90,9 +90,6 @@ class Quaternion:
             raise ZeroQuaternionError("the zero quaternion has no inverse")
         return Quaternion(self.a0 / m2, -self.a1 / m2, -self.a2 / m2, -self.a3 / m2)
 
-    def is_zero(self) -> bool:
-        return self.a0 == 0.0 and self.a1 == 0.0 and self.a2 == 0.0 and self.a3 == 0.0
-
     # -- operators ----------------------------------------------------
 
     @staticmethod

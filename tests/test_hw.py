@@ -18,6 +18,7 @@ from quathw import (
     NotNormalError,
     PairingFailureError,
     QMatrix,
+    ShapeMismatchError,
     assignment_cost,
     condition_number,
     diagonalize,
@@ -44,7 +45,7 @@ from quathw.qmatrix import _COUPLING
 
 import oracles
 from oracles import exhaustive_lex_within, exhaustive_min_assignment
-from test_qmatrix import rotated_jordan_block
+from test_qmatrix import normal_route, rotated_jordan_block
 
 complex_values = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=8.0, allow_nan=False, allow_infinity=False
@@ -394,7 +395,6 @@ class TestHwCheck:
         with pytest.raises(NotNormalError):
             hw_check(b, a)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_squares_give_infinite_sides(self):
         # every squared distance is finite but the sums are not; ||A - B||_F
         # is finite and its square is not, which must read inf, not raise
@@ -424,12 +424,15 @@ class TestHwCheck:
 
 
 def parent_order_hw_check(a, b, tols):
-    """``hw_check`` as the separate calls: both normality tests, then the report."""
+    """``hw_check`` as the separate calls: both normality tests, then the
+    report on both operands' normal-route spectra."""
     if not is_normal(a, tols.predicate):
         raise NotNormalError("first operand is not normal at the configured tolerance")
     if not is_normal(b, tols.predicate):
         raise NotNormalError("second operand is not normal at the configured tolerance")
-    return hw_report(a, b, tols, kind="hw", normal=True)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
+    return hw_module._report(normal_route(a, tols), normal_route(b, tols), a, b, tols, "hw")
 
 
 def outcome(check, a, b, tols):

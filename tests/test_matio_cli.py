@@ -19,13 +19,13 @@ from quathw.cli import main
 from quathw.golden import fixture_path
 from quathw.hw import InequalityReport
 from quathw.matio import (
-    emit_report,
+    emit_json,
     load_document,
     matrix_from_obj,
     matrix_to_obj,
-    parse_report,
     polynomial_from_obj,
     polynomial_to_obj,
+    report_to_obj,
 )
 
 from test_qmatrix import rotated_jordan_block
@@ -169,13 +169,27 @@ class TestReportSerialization:
             theorem_class="unitary",
             digests={"a": "00ff", "b": "11aa"},
         )
-        assert parse_report(emit_report(report)) == report
+        obj = json.loads(emit_json(report_to_obj(report)))
+        assert obj == report_to_obj(report)
+        assert obj["lhs"] == 48.000000000000014 and obj["slack"] == 5.999999999999986
+        assert obj["kappa"] == math.sqrt(2) and obj["permutation"] == [2, 1]
 
     def test_round_trip_without_optionals(self):
         report = InequalityReport(
             kind="hw", lhs=1.0, rhs=1.0, holds=True, slack=0.0, permutation=(0, 1)
         )
-        assert parse_report(emit_report(report)) == report
+        obj = json.loads(emit_json(report_to_obj(report)))
+        assert obj == report_to_obj(report)
+        assert "kappa" not in obj and "theorem_class" not in obj
+
+
+def test_readme_names_each_export_once():
+    """The README's "Python API" section lists exactly ``quathw.__all__``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", section)
+    assert sorted(names) == sorted(set(names)), "a name is listed twice"
+    assert set(names) == set(quathw.__all__)
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +261,7 @@ class TestCli:
         assert code == 0
         assert payload["holds"] is True
         assert payload["kappa"] == pytest.approx(math.sqrt(2), rel=1e-8)
-        report = parse_report(json.dumps(payload))
-        assert report.lhs == pytest.approx(48.0, abs=1e-9)
+        assert payload["lhs"] == pytest.approx(48.0, abs=1e-9)
 
     def test_hw_mixed_kinds_rejected(self, capsys):
         code = main(
@@ -488,8 +501,7 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        report = parse_report(out)
-        assert emit_report(report) == out.strip()
+        assert emit_json(json.loads(out)) == out.strip()
 
 
 def run_child(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:

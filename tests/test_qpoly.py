@@ -497,6 +497,26 @@ class TestDiagonalizableCompanionQuadratic:
         with pytest.raises(PreconditionViolatedError, match="unitary"):
             diagonalizable_companion_quadratic_unitary(p)
 
+    @pytest.mark.parametrize(
+        "u0, u1, message",
+        [
+            (3.0, 1.0, "constant coefficient is not unitary"),
+            (3.0, 3.0, "constant coefficient is not unitary"),
+            (1.0, 3.0, "linear coefficient is not unitary"),
+            (None, None, "coefficients do not commute (residual 3.123e-01)"),
+        ],
+    )
+    def test_error_names_the_first_failed_hypothesis(self, u0, u1, message):
+        if u0 is None:
+            p = quadratic_unitary_p()
+        else:
+            p = QMatrixPolynomial(
+                (QMatrix.identity(2) * u0, QMatrix.identity(2) * u1, QMatrix.identity(2))
+            )
+        with pytest.raises(PreconditionViolatedError) as exc:
+            diagonalizable_companion_quadratic_unitary(p)
+        assert str(exc.value) == message
+
 
 class TestDefectiveGoldenInstances:
     def test_quadratic_noncommuting_unitary_defective(self):
