@@ -9,12 +9,17 @@ example a ``git archive`` of the parent commit).  Each child runs the CLI
 matrix of ``scripts/cli_matrix.py`` and every operation of the
 ``hw-normal``, ``poly-small`` and ``diag-kappa`` inputs for each seed,
 taking the workloads from this checkout's ``bench/workloads.py`` without
-changing it.  A result is known by a digest of its ``repr``, with arrays
-and quaternion matrices digested by their bytes; an exception by its type
-and message.  The digest of each workload's inputs is compared too.
+changing it.  Each leaf of a result is digested on its own, keyed
+``workload seed group index/path``: the path names the fields of
+dataclasses and the positions in tuples, down to a leaf, which is anything
+else (a flat tuple of numbers, such as a spectrum, is one leaf).  A leaf is
+known by a digest of its ``repr``, with arrays and quaternion matrices
+digested by their bytes; an exception by its type and message, under the
+path ``raised``.  The digest of each workload's inputs is compared too.
 
-Each result that differs, or that only one tree gives, is printed as
-``workload seed group index: digest != digest``.  The exit code is 1 when
+Each leaf that differs is printed as ``key: digest != digest``, and one
+that only one tree has reads ``missing`` on the other side, so a field
+added to a result shows as that field alone.  The exit code is 1 when
 anything differs and 0 otherwise.  ``--groups`` sets each workload's group
 count (default: its own), whose inputs begin with those of any larger count.
 """
@@ -61,13 +66,33 @@ def _update(h, obj) -> None:
         h.update(repr(obj).encode())
 
 
-def result_digest(run, *args) -> str:
+def _digest(obj) -> str:
     h = hashlib.sha256()
-    try:
-        _update(h, run(*args))
-    except Exception as exc:
-        h.update(f"raised {type(exc).__name__}: {exc}".encode())
+    _update(h, obj)
     return h.hexdigest()[:16]
+
+
+def _leaves(obj, path: str):
+    """``(path, digest)`` of each leaf under ``obj``, as the module docstring says."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name), f"{path}/{f.name}")
+    elif isinstance(obj, (list, tuple)) and any(
+        isinstance(item, (list, tuple)) or dataclasses.is_dataclass(item) for item in obj
+    ):
+        for k, item in enumerate(obj):
+            yield from _leaves(item, f"{path}/{k}")
+    else:
+        yield path, _digest(obj)
+
+
+def result_leaves(key: str, run, *args):
+    """``(key/path, digest)`` of each leaf of ``run(*args)``, or of its exception."""
+    try:
+        result = run(*args)
+    except Exception as exc:
+        return [(f"{key}/raised", _digest(f"{type(exc).__name__}: {exc}"))]
+    return list(_leaves(result, key))
 
 
 def child(seeds: list[int], groups: int | None) -> None:
@@ -93,7 +118,8 @@ def child(seeds: list[int], groups: int | None) -> None:
             print(f"{name} {seed} - inputs\t{workloads.digest(inputs)[:16]}")
             for g, group in enumerate(inputs):
                 for i, case in enumerate(group):
-                    print(f"{name} {seed} {g} {i}\t{result_digest(workload.run, case)}")
+                    for key, leaf in result_leaves(f"{name} {seed} {g} {i}", workload.run, case):
+                        print(f"{key}\t{leaf}")
 
 
 def collect(src: Path, seeds: list[int], groups: int | None) -> dict[str, str]:
@@ -118,12 +144,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     mine = collect(ROOT / "src", args.seeds, args.groups)
     other = collect(args.other_src.resolve(), args.seeds, args.groups)
-    differ = 0
-    for key in sorted(mine.keys() | other.keys()):
-        if mine.get(key) != other.get(key):
-            differ += 1
-            print(f"{key}: {mine.get(key, 'missing')} != {other.get(key, 'missing')}")
-    print(f"{differ} of {len(mine.keys() | other.keys())} results differ")
+    keys = mine.keys() | other.keys()
+    differ = [key for key in sorted(keys) if mine.get(key) != other.get(key)]
+    for key in differ:
+        print(f"{key}: {mine.get(key, 'missing')} != {other.get(key, 'missing')}")
+    results = {key.split("/", 1)[0] for key in keys}
+    print(f"{len(differ)} of {len(keys)} leaves differ, "
+          f"in {len({key.split('/', 1)[0] for key in differ})} of {len(results)} results")
     return 1 if differ else 0
 
 

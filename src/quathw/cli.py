@@ -38,7 +38,7 @@ from .errors import (
 )
 from .hw import hw_check, hw_report, hw_type_check
 from .matio import emit_json, load_document, matrix_digest, polynomial_digest, report_to_obj
-from .qmatrix import condition_number, diagonalize, standard_eigenvalues
+from .qmatrix import diagonalize, standard_eigenvalues
 from .qpoly import (
     QMatrixPolynomial,
     bound_check_commuting_disc,
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--type",
         action="store_true",
         dest="typed",
-        help="use the kappa^2-weighted bound for a diagonalizable first input",
+        help="use the kappa^2-weighted bound for a diagonalizable first input and a normal second",
     )
     p_hw.set_defaults(run=cmd_hw)
 
@@ -282,14 +282,14 @@ def cmd_diag(args, tols: Tolerances) -> Outcome:
             raise NotDiagonalizableError(
                 "companion matrix is not diagonalizable (no guaranteeing class)"
             )
-        kappa, klass = result.kappa, result.klass
+        klass = result.klass
     else:
-        result = diagonalize(doc, tols)
-        kappa, klass = condition_number(result.transform, tols), None
-    obj = {"values": result.values, "kappa": kappa, "residual": result.residual, "class": klass}
+        result, klass = diagonalize(doc, tols), None
+    obj = {"values": result.values, "kappa": result.kappa, "residual": result.residual,
+           "class": klass}
     lines = [
         "eigenvalues: " + ", ".join(format_complex(z) for z in result.values),
-        f"kappa: {kappa:.12g}",
+        f"kappa: {result.kappa:.12g}",
         f"residual: {result.residual:.3e}",
     ]
     if klass is not None:

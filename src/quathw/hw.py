@@ -5,9 +5,10 @@ with one potentials state: row and column duals, the column->row match and
 an active-column mask.  Shortest augmenting paths (Jonker & Volgenant 1987)
 give the optimum ``best``, each path step scanning a whole cost row as one
 numpy vector.  The returned permutation is the lexicographically smallest
-one whose cost is within ``tie * (1 + best)`` of the optimum: rows are fixed
-in order, and a column before a row's current match is tried only when its
-reduced cost allows it, by one augmenting path on a copy of the state.
+one whose cost is within ``tie * max(best, tiny)`` of the optimum (tiny the
+smallest normal double, so a power-of-two scaling picks the same one): rows
+are fixed in order, and a column before a row's current match is tried only
+when its reduced cost allows it, by one augmenting path on a copy of the state.
 Tied optima therefore resolve exactly as exhaustive enumeration in
 lexicographic order with that slack would.
 
@@ -57,7 +58,6 @@ from .qmatrix import (
     _square,
     _squared_norm,
     adjoint,
-    condition_number,
     diagonalize,
     is_normal,
     standard_eigenvalues,
@@ -196,7 +196,7 @@ def _tie_certificate(
 
 
 def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
-    """Lexicographically smallest permutation within ``tie*(1+best)`` of the optimum.
+    """Lexicographically smallest permutation within ``tie*max(best, tiny)`` of the optimum.
 
     One potentials state (row duals ``u``, column duals ``v``, the
     column->row match and the active-column mask) serves both phases.  The
@@ -226,7 +226,7 @@ def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
     for i in np.flatnonzero(~held).tolist():
         _augment(cost, u, v, col_row, active, i)
     best = _row_sum(cost, col_row, active, 0)
-    slack = tie * (1.0 + abs(best))
+    slack = tie * max(abs(best), np.finfo(float).tiny)
     # duals pick up rounding from every step; never let it prune a candidate
     rounding = 4.0 * n * n * np.finfo(float).eps
     row_col = np.argsort(col_row)
@@ -276,7 +276,7 @@ def min_cost_assignment(
 
     Ties between optimal permutations are broken toward the
     lexicographically smallest one; permutations within
-    ``tols.tie * (1 + best)`` of the optimum count as tied.  Raises
+    ``tols.tie * max(best, tiny)`` of the optimum count as tied.  Raises
     ``NonFiniteError`` on NaN or infinite values and on overflowing distances.
     """
     lam = [complex(z) for z in lam]
@@ -572,18 +572,20 @@ def hw_check(
 def hw_type_check(
     a: QMatrix, b: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> InequalityReport:
-    """Hoffman-Wielandt-type check: diagonalizable A, arbitrary B.
+    """Hoffman-Wielandt-type check: diagonalizable A, the one-sided bound.
 
-    The bound is kappa(X)^2 ||A-B||_F^2 with X the computed diagonalizer.
-    A's standard eigenvalues are the diagonalization's own, which are
-    exactly those of ``standard_eigenvalues``, under the same pairing check.
+    The bound is kappa(X)^2 ||A-B||_F^2, kappa(X) the ``Diagonalization.kappa``
+    of A: the two-sided kappa(X)^2 kappa(Y)^2 ||A-B||_F^2 with kappa(Y) = 1, a
+    theorem only for a normal B, which is not checked; for another B a False
+    ``holds`` is no program fault (J.-G. Sun, LAA 246, 1996).  A's standard
+    eigenvalues are the diagonalization's own, which are exactly those of
+    ``standard_eigenvalues``, under the same pairing check.
     """
     if a.shape != b.shape or not a.is_square:
         raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
     diag = diagonalize(a, tols)  # raises NotDiagonalizableError
-    kappa = condition_number(diag.transform, tols)
     lam = _checked_spectrum(a, diag.values, diag.pairing_residual, tols)
-    return _report(lam, standard_eigenvalues(b, tols), a, b, tols, "hw-type", kappa)
+    return _report(lam, standard_eigenvalues(b, tols), a, b, tols, "hw-type", diag.kappa)
 
 
 # -- the built-in non-standard right-eigenvalue demonstration ----------------

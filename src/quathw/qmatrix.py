@@ -467,7 +467,8 @@ def _fold_conjugate_spectrum(
     Greedy nearest-conjugate matching, most-imaginary value first (lowest
     index on ties), its partner the nearest conjugate (lowest index on
     ties); each pair contributes one representative with nonnegative
-    imaginary part, and its indices (a, b) into ``w``, a the upper one.
+    imaginary part, and its indices (a, b) into ``w``, a the upper one.  It
+    is made real when its imaginary part is at most ``tols.clamp_imag * scale``.
     The distances are one matrix up front, and the values are visited in
     one fixed (-imag, index) order with consumed ones skipped: removing
     values never changes the order of the rest, so every choice is that of
@@ -476,13 +477,13 @@ def _fold_conjugate_spectrum(
     that partner is still alive and its distance finite, it is also the
     nearest alive one, and only otherwise does the argmin run over the alive
     values (the first alive value when all their distances overflowed to
-    inf).  ``np.hypot`` rounds
-    exactly as ``abs`` of a complex scalar (``np.abs`` on complex arrays
-    does not, in the last bit), so ties and residuals come out bit for bit.
+    inf).  ``np.hypot`` rounds exactly as ``abs`` of a complex scalar
+    (``np.abs`` on complex arrays does not, in the last bit), so ties and
+    residuals come out bit for bit.
     """
     if len(w) % 2:
         raise PairingFailureError("adjoint spectrum has odd length")
-    clamp = tols.clamp_imag * max(1.0, scale)
+    clamp = tols.clamp_imag * scale
     w = np.asarray(w, dtype=complex)
     diff = w[np.newaxis, :] - w.conj()[:, np.newaxis]
     dist = np.hypot(diff.real, diff.imag)  # dist[a, b] = |w[b] - conj(w[a])|
@@ -671,13 +672,15 @@ class Diagonalization:
     ``residual`` is ||X^-1 A X - diag(values)||_F / max(||A||_F, tiny).
     ``pairing_residual`` is that of the conjugate fold that gave the values,
     unchecked: the values and residual are those of ``standard_eigenvalues``,
-    which raises when it exceeds the pairing tolerance.
+    which raises when it exceeds the pairing tolerance.  ``kappa`` is
+    ``condition_number(transform)``, computed once X has passed verification.
     """
 
     transform: QMatrix
     values: tuple[complex, ...]
     residual: float
     pairing_residual: float
+    kappa: float
 
 
 def _cluster_indices(values: np.ndarray, radius: float) -> list[list[int]]:
@@ -838,4 +841,5 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
         values=values,
         residual=float(residual),
         pairing_residual=float(pairing_residual),
+        kappa=condition_number(x, tols),
     )

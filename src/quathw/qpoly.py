@@ -429,37 +429,30 @@ class CompanionDiagonalizability:
     residual: float | None = None
 
 
-def _diagonal_coefficient_result(
-    comp: QMatrix, tols: Tolerances
-) -> CompanionDiagonalizability:
+def _diagonal_coefficient_result(comp: QMatrix, tols: Tolerances) -> Diagonalization:
     """Diagonal companion: conjugate each entry to its standard representative.
 
     The witness matrix is a diagonal of unit quaternions, so kappa is 1; it
     reduces to the identity when every entry is already a complex number in
-    the upper half plane.
+    the upper half plane.  The values are closed forms, not a conjugate fold,
+    so ``pairing_residual`` is 0.
     """
-    n = comp.rows
-    witnesses = []
-    values = []
-    for idx in range(n):
-        q = comp[idx, idx]
-        witnesses.append(similarity_witness(q))
-        values.append(standard_representative(q))
-    order = sorted(range(n), key=lambda k: (values[k].real, values[k].imag))
+    entries = [comp[k, k] for k in range(comp.rows)]
+    witnesses = [similarity_witness(q) for q in entries]
+    values = [standard_representative(q) for q in entries]
+    order = sorted(range(comp.rows), key=lambda k: (values[k].real, values[k].imag))
     d = QMatrix.diagonal(witnesses)
     x = QMatrix(d.c1[:, order], d.c2[:, order])  # columns in eigenvalue order
     values_sorted = tuple(values[k] for k in order)
     residual = (
         (inverse(x, tols) @ comp @ x) - QMatrix.diagonal(values_sorted)
     ).frobenius_norm() / max(comp.frobenius_norm(), _TINY)
-    kappa = condition_number(x, tols)
-    return CompanionDiagonalizability(
-        diagonalizable=True,
-        klass="diagonal",
+    return Diagonalization(
         transform=x,
         values=values_sorted,
-        kappa=kappa,
         residual=float(residual),
+        pairing_residual=0.0,
+        kappa=condition_number(x, tols),
     )
 
 
@@ -496,28 +489,29 @@ def _commuting_unitary_failure(p: QMatrixPolynomial, tols: Tolerances) -> str | 
     return None if commute else f"coefficients do not commute (residual {comm:.3e})"
 
 
-def _diagonalize_companion(
-    comp: QMatrix, klass: str, tols: Tolerances
-) -> tuple[CompanionDiagonalizability, Diagonalization | None]:
-    """The verdict, and the diagonalization behind it when one ran and
-    succeeded (not for the diagonal class, whose values are a closed form)."""
+def _diagonalize_companion(comp: QMatrix, klass: str, tols: Tolerances) -> Diagonalization | None:
+    """The companion's diagonalization under coefficient class ``klass``, or
+    None when it is defective under class "none"."""
     if klass == "diagonal":
-        return _diagonal_coefficient_result(comp, tols), None
+        return _diagonal_coefficient_result(comp, tols)
     try:
-        diag = diagonalize(comp, tols)
+        return diagonalize(comp, tols)
     except NotDiagonalizableError:
         if klass != "none":
             raise
-        return CompanionDiagonalizability(diagonalizable=False, klass=klass), None
-    outcome = CompanionDiagonalizability(
-        diagonalizable=True,
-        klass=klass,
-        transform=diag.transform,
-        values=diag.values,
-        kappa=condition_number(diag.transform, tols),
-        residual=diag.residual,
+        return None
+
+
+def _companion_verdict(
+    p: QMatrixPolynomial, klass: str, tols: Tolerances
+) -> CompanionDiagonalizability:
+    """The verdict of ``_diagonalize_companion`` on the companion of ``p``."""
+    diag = _diagonalize_companion(companion(p, tols).matrix, klass, tols)
+    if diag is None:
+        return CompanionDiagonalizability(diagonalizable=False, klass=klass)
+    return CompanionDiagonalizability(
+        True, klass, diag.transform, diag.values, diag.kappa, diag.residual
     )
-    return outcome, diag
 
 
 def diagonalizable_companion(
@@ -530,8 +524,7 @@ def diagonalizable_companion(
     raw outcome is reported, with ``diagonalizable=False`` for a defective
     companion.
     """
-    klass = _classify_for_diagonalizability(p, tols)
-    return _diagonalize_companion(companion(p, tols).matrix, klass, tols)[0]
+    return _companion_verdict(p, _classify_for_diagonalizability(p, tols), tols)
 
 
 def diagonalizable_companion_linear(
@@ -559,7 +552,7 @@ def diagonalizable_companion_quadratic_unitary(
     failure = _commuting_unitary_failure(p, tols)
     if failure is not None:
         raise PreconditionViolatedError(failure)
-    return _diagonalize_companion(companion(p, tols).matrix, "commuting-unitary", tols)[0]
+    return _companion_verdict(p, "commuting-unitary", tols)
 
 
 def hw_type_poly(
@@ -580,15 +573,15 @@ def hw_type_poly(
     klass = _classify_for_diagonalizability(p, tols)
     cp = companion(p, tols).matrix
     cq = companion(q, tols).matrix
-    outcome, diag = _diagonalize_companion(cp, klass, tols)
-    if not outcome.diagonalizable:
+    diag = _diagonalize_companion(cp, klass, tols)
+    if diag is None:
         raise NotDiagonalizableError(
             "companion matrix of the first polynomial is not diagonalizable"
         )
-    if diag is None:
+    if klass == "diagonal":  # closed-form values, not the eigensolver's
         lam = standard_eigenvalues(cp, tols)
     else:
         lam = _checked_spectrum(cp, diag.values, diag.pairing_residual, tols)
     return _report(
-        lam, standard_eigenvalues(cq, tols), cp, cq, tols, "hw-type-poly", outcome.kappa, klass
+        lam, standard_eigenvalues(cq, tols), cp, cq, tols, "hw-type-poly", diag.kappa, klass
     )

@@ -50,7 +50,7 @@ def exhaustive_min_assignment(lam, mu) -> tuple[float, tuple[int, ...]]:
 
 
 def exhaustive_lex_within(lam, mu, tie: float) -> tuple[int, ...]:
-    """First permutation, in enumeration order, within tie*(1+best) of the optimum.
+    """First permutation, in enumeration order, within tie*max(best, tiny) of the optimum.
 
     ``exhaustive_min_assignment`` keeps the first strict minimum, so rounding
     in tied sums (``abs(-1+2j)**2`` is not exactly 5) can move its pick; this
@@ -64,7 +64,8 @@ def exhaustive_lex_within(lam, mu, tie: float) -> tuple[int, ...]:
         for perm in permutations(range(n))
     }
     best = min(costs.values())
-    return next(p for p, c in costs.items() if c <= best + tie * (1.0 + best))
+    slack = tie * max(best, np.finfo(float).tiny)
+    return next(p for p, c in costs.items() if c <= best + slack)
 
 
 # -- reference assignment kernel ----------------------------------------------
@@ -137,7 +138,7 @@ def _row_sum(
 
 
 def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
-    """Lexicographically smallest permutation within ``tie*(1+best)`` of the optimum.
+    """Lexicographically smallest permutation within ``tie*max(best, tiny)`` of the optimum.
 
     One potentials state (row duals ``u``, column duals ``v``, the
     column->row match and the active-column mask) serves both phases.  The
@@ -165,7 +166,7 @@ def _lex_min_cost_permutation(cost: np.ndarray, tie: float) -> list[int]:
     for i in np.flatnonzero(~held).tolist():
         _augment(cost, u, v, col_row, active, i)
     best = _row_sum(cost, col_row, active, 0)
-    slack = tie * (1.0 + abs(best))
+    slack = tie * max(abs(best), np.finfo(float).tiny)
     # duals pick up rounding from every step; never let it prune a candidate
     rounding = 4.0 * n * n * np.finfo(float).eps
     perm: list[int] = []
@@ -233,7 +234,7 @@ def greedy_fold(w, scale: float, tols) -> tuple[list[complex], float]:
     """
     if len(w) % 2:
         raise PairingFailureError("adjoint spectrum has odd length")
-    clamp = tols.clamp_imag * max(1.0, scale)
+    clamp = tols.clamp_imag * scale
     values = list(w)
     alive = list(range(len(values)))
     reps: list[complex] = []

@@ -619,6 +619,15 @@ class TestHwTypeCheck:
         with pytest.raises(NotDiagonalizableError):
             hw_type_check(QMatrix.from_real([[2.0, 1.0], [0.0, 2.0]]), QMatrix.identity(2))
 
+    @pytest.mark.xfail(strict=True, reason="no theorem bounds a non-normal B by kappa(X) alone")
+    def test_defective_second_operand_is_rejected(self):
+        # B is a 2x2 Jordan block at 2: the one-sided bound gives lhs 8 > rhs 4
+        # (J.-G. Sun, LAA 246, 1996), so B needs a diagonalizer of its own
+        a = QMatrix.from_real(np.diag([0.0, 4.0]))
+        b = QMatrix.from_real([[1.0, -1.0], [1.0, 3.0]])
+        with pytest.raises(NotDiagonalizableError):
+            hw_type_check(a, b)
+
     def test_random_pairs_hold(self):
         for trial in range(60):
             rng = rng_for(303, trial)
@@ -637,6 +646,23 @@ class TestHwTypeCheck:
             assert kappa < 50.0
             residual = (a @ x - x @ QMatrix.diagonal(values)).frobenius_norm()
             assert residual <= 1e-10 * a.frobenius_norm() * kappa
+
+
+@pytest.mark.parametrize("k", [-40, -30, -20, 20, 40])
+def test_scaling_by_a_power_of_two_scales_results_exactly(k):
+    # the fold's clamp and the assignment's tie slack are relative, so
+    # eigenvalues scale by 2^k, lhs and rhs by 4^k, and nothing else moves
+    rng = np.random.default_rng(5)
+    g = random_qmatrix(rng, 16)
+    a, _ = random_normal_qmatrix(rng, 16)
+    b, _ = random_normal_qmatrix(rng, 16)
+    t = 2.0**k
+    assert standard_eigenvalues(g * t).values == tuple(
+        z * t for z in standard_eigenvalues(g).values
+    )
+    got, want = hw_check(a * t, b * t), hw_check(a, b)
+    assert (got.lhs, got.rhs) == (want.lhs * t * t, want.rhs * t * t)
+    assert (got.permutation, got.holds) == (want.permutation, want.holds)
 
 
 class TestNonStandardCounterexample:

@@ -1,6 +1,7 @@
 """File format parsing, report round trips, and CLI behavior."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import quathw
-from quathw import MatrixFileError, QMatrix, QMatrixPolynomial, Tolerances
+from quathw import MatrixFileError, QMatrix, QMatrixPolynomial, Tolerances, diagonalize
 from quathw.cli import main
 from quathw.golden import fixture_path
 from quathw.hw import InequalityReport
@@ -387,9 +388,22 @@ class TestCli:
             text=True,
         )
         assert out.returncode == 0, out.stdout + out.stderr
-        differ, _, total, *_ = out.stdout.split()
+        differ, _, _, _, _, _, results_differ, _, results, _ = out.stdout.split()
         # 340 CLI runs, 3 input digests, 12 + 20 + 5 operations
-        assert (differ, total) == ("0", "380")
+        assert (differ, results_differ, results) == ("0", "0", "380")
+
+    def test_bit_identity_keys_each_field(self):
+        # a field one tree lacks shows alone, keyed by its path
+        spec = importlib.util.spec_from_file_location(
+            "bit_identity", Path(__file__).resolve().parents[1] / "scripts" / "bit_identity.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        diag = diagonalize(QMatrix.identity(2))
+        keys = [key for key, _ in module.result_leaves("w 1 0 0", lambda: (diag, 1.0))]
+        fields = ["transform", "values", "residual", "pairing_residual", "kappa"]
+        assert keys == [f"w 1 0 0/0/{f}" for f in fields] + ["w 1 0 0/1"]
+        assert module.result_leaves("w 1 0 0", lambda: 1 / 0)[0][0] == "w 1 0 0/raised"
 
     def test_cli_matrix_script(self, cli_matrix, capsys):
         runs = cli_matrix.matrix(cli_matrix.fixture_names())

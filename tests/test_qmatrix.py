@@ -549,6 +549,18 @@ class TestDiagonalize:
             with pytest.raises(NotDiagonalizableError):
                 diagonalize(rotated_jordan_block(k, lam, draw))
 
+    def test_kappa_is_condition_number_of_the_transform(self):
+        # diagonalize reports kappa(X) bit for bit as the separate call gives it
+        for trial in range(20):
+            rng = rng_for(21, trial)
+            n = 1 + trial % 6
+            if trial % 2:
+                a = random_qmatrix(rng, n)
+            else:
+                a = conditioned_input(rng, upper_half_values(rng, n))
+            d = diagonalize(a)
+            assert d.kappa.hex() == condition_number(d.transform).hex()
+
     def test_hermitian_gives_unitary_transform(self):
         rng = rng_for(14, 0)
         h = random_hermitian_qmatrix(rng, 3)

@@ -25,6 +25,7 @@ from quathw import (
     companion,
     companion_similarity_witness,
     complex_companion,
+    condition_number,
     diagonalizable_companion,
     diagonalizable_companion_linear,
     diagonalizable_companion_quadratic_unitary,
@@ -35,7 +36,7 @@ from quathw import (
     standard_eigenvalues_poly,
     standard_representative,
 )
-from quathw.qpoly import _is_doubly_stochastic
+from quathw.qpoly import _diagonal_coefficient_result, _is_doubly_stochastic
 from quathw.generators import (
     random_commuting_monic_polynomial,
     random_commuting_unitary_pair,
@@ -388,6 +389,17 @@ class TestDiagonalizableCompanionLinear:
         assert out.kappa == pytest.approx(1.0, abs=1e-10)
         assert out.residual <= 1e-10
         assert spectra_close(out.values, [2j, 1.5j], tol=1e-12)
+
+    def test_diagonal_class_record(self):
+        # the closed-form witness is a Diagonalization: kappa from
+        # condition_number, and no conjugate fold behind its values
+        a0 = QMatrix.diagonal([QJ * 2.0, QK * 3.0])
+        p = QMatrixPolynomial((a0, QMatrix.diagonal([Quaternion(1.0), Quaternion(2.0)])))
+        diag = _diagonal_coefficient_result(companion(p).matrix, DEFAULT_TOLERANCES)
+        assert diag.pairing_residual == 0.0
+        assert diag.kappa.hex() == condition_number(diag.transform).hex()
+        out = diagonalizable_companion(p)
+        assert (out.values, out.kappa, out.residual) == (diag.values, diag.kappa, diag.residual)
 
     def test_unitary_diagonal_classified_unitary(self):
         # diag(j, k) is unitary, so precedence picks the unitary class
