@@ -10,23 +10,31 @@ matrix of ``scripts/cli_matrix.py`` and every operation of the
 ``hw-normal``, ``poly-small`` and ``diag-kappa`` inputs for each seed,
 taking the workloads from this checkout's ``bench/workloads.py`` without
 changing it.  Each leaf of a result is digested on its own, keyed
-``workload seed group index/path``: the path names the fields of
-dataclasses and the positions in tuples, down to a leaf, which is anything
-else (a flat tuple of numbers, such as a spectrum, is one leaf).  A leaf is
-known by a digest of its ``repr``, with arrays and quaternion matrices
-digested by their bytes; an exception by its type and message, under the
-path ``raised``.  The digest of each workload's inputs is compared too.
+``workload seed group index kind/path``.  The kind is the case's kind and
+shape, ``hw-type-poly(8,2)`` for polynomials of size 8 and degree 2 or
+``diag(64)`` for a matrix of order 64, and for a CLI run its format and
+its arguments other than file names, ``machine:hw,--type``.  The path
+names the fields of dataclasses and the positions in tuples, down to a
+leaf, which is anything else (a flat tuple of numbers, such as a spectrum,
+is one leaf).  A leaf is known by a digest of its ``repr``, with arrays and
+quaternion matrices digested by their bytes; an exception by its type and
+message, under the path ``raised``.  The digest of each workload's inputs
+is compared too.
 
 Each leaf that differs is printed as ``key: digest != digest``, and one
 that only one tree has reads ``missing`` on the other side, so a field
-added to a result shows as that field alone.  The exit code is 1 when
-anything differs and 0 otherwise.  ``--groups`` sets each workload's group
-count (default: its own), whose inputs begin with those of any larger count.
+added to a result shows as that field alone.  A tally follows, one line
+``count workload kind path`` for each workload, case kind and field path
+with a differing leaf, so a change can be checked against the results it
+claims to change.  The exit code is 1 when anything differs and 0
+otherwise.  ``--groups`` sets each workload's group count (default: its
+own), whose inputs begin with those of any larger count.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import os
@@ -95,6 +103,30 @@ def result_leaves(key: str, run, *args):
     return list(_leaves(result, key))
 
 
+def case_kind(case) -> str:
+    """The kind and shape of a workload case, as the module docstring says."""
+    first = case.args[0]
+    shape = f"{first.size},{first.degree}" if hasattr(first, "degree") else case.size
+    return f"{case.kind}({shape})"
+
+
+def cli_kind(argv: list[str]) -> str:
+    """The format and the arguments other than file names of a CLI run."""
+    return argv[1] + ":" + ",".join(a for a in argv[2:] if not a.endswith(".json"))
+
+
+def tally(differ: list[str]) -> list[str]:
+    """``count workload kind path`` for the differing keys of each workload,
+    case kind and field path.  A CLI run has the path ``-``, and a
+    workload's inputs the kind ``inputs``."""
+    counts = collections.Counter()
+    for key in differ:
+        result, _, path = key.partition("/")
+        workload, *_, kind = result.split(" ")
+        counts[workload, kind, path or "-"] += 1
+    return [f"{n} {' '.join(group)}" for group, n in sorted(counts.items())]
+
+
 def child(seeds: list[int], groups: int | None) -> None:
     """Print ``key digest`` for every result of the tree on ``sys.path``."""
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "scripts")]
@@ -109,7 +141,8 @@ def child(seeds: list[int], groups: int | None) -> None:
         cli_matrix.run_all(cli_matrix.matrix(cli_matrix.fixture_names()))
     for k, line in enumerate(out.getvalue().splitlines()):
         code, sha_out, sha_err, argv = line.split(" ", 3)
-        print(f"cli-matrix - - {k}\t{code}:{sha_out[:16]}:{sha_err[:16]} {argv}")
+        kind = cli_kind(argv.split())
+        print(f"cli-matrix - - {k} {kind}\t{code}:{sha_out[:16]}:{sha_err[:16]} {argv}")
     for name in WORKLOADS:
         kind = workloads.WORKLOADS[name]
         workload = kind() if groups is None else kind(groups=groups)
@@ -118,7 +151,8 @@ def child(seeds: list[int], groups: int | None) -> None:
             print(f"{name} {seed} - inputs\t{workloads.digest(inputs)[:16]}")
             for g, group in enumerate(inputs):
                 for i, case in enumerate(group):
-                    for key, leaf in result_leaves(f"{name} {seed} {g} {i}", workload.run, case):
+                    prefix = f"{name} {seed} {g} {i} {case_kind(case)}"
+                    for key, leaf in result_leaves(prefix, workload.run, case):
                         print(f"{key}\t{leaf}")
 
 
@@ -148,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     differ = [key for key in sorted(keys) if mine.get(key) != other.get(key)]
     for key in differ:
         print(f"{key}: {mine.get(key, 'missing')} != {other.get(key, 'missing')}")
+    for line in tally(differ):
+        print(line)
     results = {key.split("/", 1)[0] for key in keys}
     print(f"{len(differ)} of {len(keys)} leaves differ, "
           f"in {len({key.split('/', 1)[0] for key in differ})} of {len(results)} results")

@@ -581,6 +581,41 @@ def _normal_adjoint_eigenvalues(chi: np.ndarray) -> NormalEigenvalues | None:
     without forming chi chi^H, which is how ``hw_check`` proves its
     operands normal (the bound is in its docstring).
     """
+    basis = _normal_basis(chi)
+    if basis is None:
+        return None
+    g, labels = basis.g, basis.labels
+    values = np.diagonal(g).copy()
+    commutators = []
+    if labels is not None:
+        for idx in _groups(labels):
+            block = g[np.ix_(idx, idx)]
+            values[idx] = np.linalg.eigvals(block)
+            block_h = block.conj().T
+            with np.errstate(over="ignore", invalid="ignore"):  # not finite past 2^250 or so
+                commutators.append(float(np.linalg.norm(block @ block_h - block_h @ block)))
+    return NormalEigenvalues(
+        values[np.lexsort((values.imag, values.real))], basis.residual, tuple(commutators)
+    )
+
+
+@dataclass(frozen=True)
+class _NormalBasis:
+    """The eigenvectors V of H + tK for a normal chi, G = V^H chi V, the
+    label of each index's group (None when every group is a singleton), the
+    accepted residual and the unit 2n eps ||chi||_F that scales the route's
+    thresholds (``_normal_basis``)."""
+
+    vectors: np.ndarray
+    g: np.ndarray
+    labels: np.ndarray | None
+    residual: float
+    unit: float
+
+
+def _normal_basis(chi: np.ndarray) -> _NormalBasis | None:
+    """The Hermitian eigensolve of ``_normal_adjoint_eigenvalues`` and its
+    certificate, or None when the certificate fails."""
     m = chi.shape[0]
     with np.errstate(over="ignore"):
         scale = float(np.linalg.norm(chi))
@@ -609,20 +644,13 @@ def _normal_adjoint_eigenvalues(chi: np.ndarray) -> NormalEigenvalues | None:
     residual = outside + defect * scale
     if not residual <= _CERTIFICATE * unit:
         return None
-    values = np.diagonal(g).copy()
-    commutators = []
-    if labels is not None:
-        sizes = np.bincount(labels, minlength=m)
-        for r in np.flatnonzero(sizes > 1):
-            idx = np.flatnonzero(labels == r)
-            block = g[np.ix_(idx, idx)]
-            values[idx] = np.linalg.eigvals(block)
-            block_h = block.conj().T
-            with np.errstate(over="ignore", invalid="ignore"):  # not finite past 2^250 or so
-                commutators.append(float(np.linalg.norm(block @ block_h - block_h @ block)))
-    return NormalEigenvalues(
-        values[np.lexsort((values.imag, values.real))], residual, tuple(commutators)
-    )
+    return _NormalBasis(v, g, labels, residual, unit)
+
+
+def _groups(labels: np.ndarray) -> list[np.ndarray]:
+    """The indices of each group of more than one index, by label."""
+    sizes = np.bincount(labels, minlength=len(labels))
+    return [np.flatnonzero(labels == r) for r in np.flatnonzero(sizes > 1)]
 
 
 def standard_eigenvalues(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> StandardSpectrum:

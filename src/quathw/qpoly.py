@@ -30,11 +30,14 @@ from .errors import (
 )
 from .hw import InequalityReport, _report, min_cost_assignment
 from .qmatrix import (
+    _COUPLING,
     Diagonalization,
     QMatrix,
     StandardSpectrum,
     _checked_spectrum,
     _fold_conjugate_spectrum,
+    _groups,
+    _normal_basis,
     _squared_norm,
     adjoint,
     condition_number,
@@ -443,17 +446,103 @@ def _diagonal_coefficient_result(comp: QMatrix, tols: Tolerances) -> Diagonaliza
     order = sorted(range(comp.rows), key=lambda k: (values[k].real, values[k].imag))
     d = QMatrix.diagonal(witnesses)
     x = QMatrix(d.c1[:, order], d.c2[:, order])  # columns in eigenvalue order
-    values_sorted = tuple(values[k] for k in order)
+    return _closed_form_result(comp, x, tuple(values[k] for k in order), tols)
+
+
+def _closed_form_result(
+    comp: QMatrix, x: QMatrix, values: tuple[complex, ...], tols: Tolerances
+) -> Diagonalization:
+    """The record of a class construction's X and values: the residual
+    ||X^-1 C X - diag(values)||_F / ||C||_F, a ``pairing_residual`` of 0
+    since no conjugate fold produced the values, and kappa(X)."""
     residual = (
-        (inverse(x, tols) @ comp @ x) - QMatrix.diagonal(values_sorted)
+        (inverse(x, tols) @ comp @ x) - QMatrix.diagonal(values)
     ).frobenius_norm() / max(comp.frobenius_norm(), _TINY)
     return Diagonalization(
         transform=x,
-        values=values_sorted,
+        values=values,
         residual=float(residual),
         pairing_residual=0.0,
         kappa=condition_number(x, tols),
     )
+
+
+# silver-ratio weight of U_1 in the pencil U_0 + s U_1: irrational, and
+# apart from the normal route's own golden-ratio weight
+_PENCIL_S = np.sqrt(2.0) - 1.0
+
+
+def _commuting_unitary_result(comp: CompanionMatrix, tols: Tolerances) -> Diagonalization | None:
+    """Companion of a monic quadratic with commuting unitary U_0, U_1, built
+    as the proof builds it, or None when the construction does not apply.
+
+    Commuting normal quaternion matrices have a common unitary diagonalizer
+    with complex diagonals (F. Zhang, LAA 251, 1997).  One normal-route
+    solve of chi(U_0 + s U_1), s irrational, gives it.  Vectors that eigh
+    mixed, because their values of H + tK nearly coincide, are the route's
+    coupled groups, and each group's vectors are rotated by the
+    eigenvectors of its block of G (one Rayleigh-Ritz step).  When no two
+    of the pencil's 2n values then lie within the route's coupling radius,
+    each vector v is an eigenvector of chi(U_0) and of chi(U_1), and of each
+    conjugate pair (v, J conj(v)) the one with Im v^H chi(U_0 + s U_1) v > 0
+    is kept.  The kept vectors are the columns of a quaternion unitary W
+    with W* U_0 W = diag(alpha) and W* U_1 W = diag(beta), their Rayleigh
+    quotients.  The companion then splits into the scalar companions
+    [[0, 1], [-alpha_k, -beta_k]], whose roots r (by the stable quadratic
+    formula) have the unit eigenvectors [1, r]^T / sqrt(1 + |r|^2), so X
+    has the columns [w_k; w_k r] / sqrt(1 + |r|^2).  A root below the real
+    axis is replaced by its conjugate, and its column is multiplied on the
+    right by j.
+
+    Returns None, and the companion goes to ``diagonalize``, when the
+    pencil's certificate fails, when two of its values lie within the
+    coupling radius (a real value and its own conjugate do; U_0 = U_1 = I
+    puts all 2n there), or when X fails the residual check of
+    ``diagonalize``.
+    """
+    u0, u1 = comp.monic_coefficients
+    n = u0.rows
+    chi0, chi1 = adjoint(u0), adjoint(u1)
+    basis = _normal_basis(chi0 + _PENCIL_S * chi1)
+    if basis is None:
+        return None
+    v, mu = basis.vectors, np.diagonal(basis.g)
+    if basis.labels is not None:  # eigh mixed them: one Rayleigh-Ritz step per group
+        v, mu = v.copy(), mu.copy()
+        for idx in _groups(basis.labels):
+            mu[idx], y = np.linalg.eig(basis.g[np.ix_(idx, idx)])
+            v[:, idx] = v[:, idx] @ y
+    diff = mu[:, np.newaxis] - mu[np.newaxis, :]
+    if np.count_nonzero(np.hypot(diff.real, diff.imag) <= _COUPLING * basis.unit) > 2 * n:
+        return None  # a pair of coupled values besides the diagonal's
+    keep = mu.imag > 0.0
+    if np.count_nonzero(keep) != n:  # pragma: no cover - the pairs are apart
+        return None
+    v = v[:, keep]
+    alpha = np.einsum("ik,ik->k", v.conj(), chi0 @ v)
+    beta = np.einsum("ik,ik->k", v.conj(), chi1 @ v)
+    # r^2 + beta r + alpha = 0: the larger root from the sum whose terms do
+    # not cancel, the other from r_1 r_2 = alpha, |alpha| = 1
+    root = np.sqrt(beta * beta - 4.0 * alpha)
+    root = np.where((beta.conj() * root).real < 0.0, -root, root)
+    big = -0.5 * (beta + root)
+    r = np.concatenate([big, alpha / big])
+    lower = r.imag < 0.0  # the column w j has eigenvalue conj(r)
+    lam = np.where(lower, r.conj(), r)
+    order = np.lexsort((lam.imag, lam.real))
+    lam, lower, k = lam[order], lower[order], np.tile(np.arange(n), 2)[order]
+    w1, w2 = v[:n, k], -v[n:, k].conj()  # column k of W = W1 + W2 j, per root
+    norm = 1.0 / np.sqrt(1.0 + np.abs(lam) ** 2)
+    c1 = np.where(lower, -w2, w1) * norm  # u = w or w j, over sqrt(1 + |lam|^2)
+    c2 = np.where(lower, w1, w2) * norm
+    x = QMatrix._adopt(  # columns [u; u lam], u = c1 + c2 j
+        np.concatenate([c1, c1 * lam]), np.concatenate([c2, c2 * lam.conj()])
+    )
+    try:
+        diag = _closed_form_result(comp.matrix, x, tuple(lam.tolist()), tols)
+    except SingularMatrixError:
+        return None
+    return diag if diag.residual <= tols.diag_verify else None
 
 
 def _classify_for_diagonalizability(p: QMatrixPolynomial, tols: Tolerances) -> str:
@@ -489,11 +578,21 @@ def _commuting_unitary_failure(p: QMatrixPolynomial, tols: Tolerances) -> str | 
     return None if commute else f"coefficients do not commute (residual {comm:.3e})"
 
 
-def _diagonalize_companion(comp: QMatrix, klass: str, tols: Tolerances) -> Diagonalization | None:
-    """The companion's diagonalization under coefficient class ``klass``, or
-    None when it is defective under class "none"."""
+def _class_diagonalization(
+    comp: CompanionMatrix, klass: str, tols: Tolerances
+) -> Diagonalization | None:
+    """The companion's diagonalization by the construction of coefficient
+    class ``klass``, with closed-form values, or None when the class has no
+    construction or it does not apply."""
     if klass == "diagonal":
-        return _diagonal_coefficient_result(comp, tols)
+        return _diagonal_coefficient_result(comp.matrix, tols)
+    if klass == "commuting-unitary":
+        return _commuting_unitary_result(comp, tols)
+    return None
+
+
+def _generic_diagonalization(comp: QMatrix, klass: str, tols: Tolerances) -> Diagonalization | None:
+    """``diagonalize(comp)``, or None when it is defective under class "none"."""
     try:
         return diagonalize(comp, tols)
     except NotDiagonalizableError:
@@ -505,8 +604,12 @@ def _diagonalize_companion(comp: QMatrix, klass: str, tols: Tolerances) -> Diago
 def _companion_verdict(
     p: QMatrixPolynomial, klass: str, tols: Tolerances
 ) -> CompanionDiagonalizability:
-    """The verdict of ``_diagonalize_companion`` on the companion of ``p``."""
-    diag = _diagonalize_companion(companion(p, tols).matrix, klass, tols)
+    """The companion of ``p`` diagonalized by the construction of class
+    ``klass``, or else by ``diagonalize``."""
+    comp = companion(p, tols)
+    diag = _class_diagonalization(comp, klass, tols)
+    if diag is None:
+        diag = _generic_diagonalization(comp.matrix, klass, tols)
     if diag is None:
         return CompanionDiagonalizability(diagonalizable=False, klass=klass)
     return CompanionDiagonalizability(
@@ -540,10 +643,29 @@ def diagonalizable_companion_quadratic_unitary(
     p: QMatrixPolynomial, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> CompanionDiagonalizability:
     """Monic quadratic with commuting unitary coefficients: companion is
-    diagonalizable.
+    diagonalizable, by an X with kappa(X) <= sqrt(3) for every size n.
 
-    The measured condition number of the reconstructed quaternion transform
-    is reported without asserting any theoretical bound.
+    X is that of ``_commuting_unitary_result``, or of ``diagonalize`` where
+    that construction does not apply; the bound is proved for the former.
+    Its X is diag(W, W) times a permutation times the block diagonal of the
+    2 x 2 blocks [x_1, x_2] of unit columns [1, r_i]^T / sqrt(1 + |r_i|^2),
+    each column times 1 or j.  W and the unit factors are unitary, so
+    kappa(X) is the largest kappa of a block.  The roots of
+    r^2 + beta r + alpha, |alpha| = |beta| = 1, satisfy
+    |r_1 r_2| = |r_1 + r_2| = 1.  Let rho = |r_1|, so |r_2| = 1/rho, and
+    |r_1 + r_2|^2 = 1 gives 2 Re(conj(r_1) r_2) = 1 - rho^2 - rho^-2, so
+    |1 + conj(r_1) r_2|^2 = 3 - rho^2 - rho^-2.  The columns' cosine
+    c = |1 + conj(r_1) r_2| / sqrt((1 + rho^2)(1 + rho^-2)) then satisfies
+
+        c^2 = (3 rho^2 - rho^4 - 1) / (1 + rho^2)^2 <= 1/4:
+
+    with x = rho^2 the derivative of (3x - x^2 - 1) / (1 + x)^2 is
+    5 (1 - x) / (1 + x)^3, so the maximum is 1/4 at rho = 1, and c^2 >= 0
+    confines rho to [1/phi, phi], phi the golden ratio.  A block of unit
+    columns has singular values sqrt(1 + c) and sqrt(1 - c), so
+    kappa = sqrt((1 + c) / (1 - c)) <= sqrt(3), with equality when both
+    roots lie on the unit circle.  The computed kappa exceeds sqrt(3) only
+    by rounding, of order n eps.
     """
     if p.degree != 2:
         raise PreconditionViolatedError(f"expected degree 2, got degree {p.degree}")
@@ -561,9 +683,13 @@ def hw_type_poly(
     """Hoffman-Wielandt-type inequality for two companion matrices.
 
     The first polynomial's companion must be diagonalizable; the justifying
-    coefficient class (when one applies) is recorded in the report.  Its
-    standard eigenvalues are those of the diagonalization, as in
-    ``hw_type_check``, except for the diagonal class.
+    coefficient class (when one applies) is recorded in the report.  The
+    diagonal and commuting-unitary classes diagonalize it by their own
+    constructions, whose values are closed forms, so its standard
+    eigenvalues come from ``standard_eigenvalues``.  When the
+    commuting-unitary construction does not apply, and for every other
+    class, ``diagonalize`` runs, and its values are the standard
+    eigenvalues, as in ``hw_type_check``.
     """
     if p.size != q.size or p.degree != q.degree:
         raise ShapeMismatchError(
@@ -571,16 +697,18 @@ def hw_type_poly(
             f"vs {q.size}/{q.degree}"
         )
     klass = _classify_for_diagonalizability(p, tols)
-    cp = companion(p, tols).matrix
+    comp = companion(p, tols)
+    cp = comp.matrix
     cq = companion(q, tols).matrix
-    diag = _diagonalize_companion(cp, klass, tols)
-    if diag is None:
-        raise NotDiagonalizableError(
-            "companion matrix of the first polynomial is not diagonalizable"
-        )
-    if klass == "diagonal":  # closed-form values, not the eigensolver's
+    diag = _class_diagonalization(comp, klass, tols)
+    if diag is not None:  # closed-form values, not the eigensolver's
         lam = standard_eigenvalues(cp, tols)
     else:
+        diag = _generic_diagonalization(cp, klass, tols)
+        if diag is None:
+            raise NotDiagonalizableError(
+                "companion matrix of the first polynomial is not diagonalizable"
+            )
         lam = _checked_spectrum(cp, diag.values, diag.pairing_residual, tols)
     return _report(
         lam, standard_eigenvalues(cq, tols), cp, cq, tols, "hw-type-poly", diag.kappa, klass

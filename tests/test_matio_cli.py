@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from quathw.matio import (
 )
 
 from test_qmatrix import rotated_jordan_block
+from test_qpoly import clustered_commuting_unitary_quadratic
 
 
 def write_json(tmp_path, name, obj):
@@ -329,6 +331,17 @@ class TestCli:
         code = main(["diag", self.fixture("quadratic_unitary_q.json")])
         assert code == 2
 
+    def test_diag_clustered_commuting_unitary(self, tmp_path, capsys):
+        # coefficient eigenvalues 3e-6 apart: the class's construction
+        # diagonalizes the companion where per-cluster kernels did not
+        p = clustered_commuting_unitary_quadratic(9, 3e-6)
+        path = write_json(tmp_path, "clustered.json", polynomial_to_obj(p))
+        code = main(["--format", "machine", "diag", path])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["class"] == "commuting-unitary"
+        assert payload["residual"] <= Tolerances().diag_verify
+
     @pytest.mark.parametrize(
         "name", ["linear_normal_p.json", "linear_normal_q.json", "quadratic_unitary_p.json"]
     )
@@ -392,18 +405,49 @@ class TestCli:
         # 340 CLI runs, 3 input digests, 12 + 20 + 5 operations
         assert (differ, results_differ, results) == ("0", "0", "380")
 
-    def test_bit_identity_keys_each_field(self):
-        # a field one tree lacks shows alone, keyed by its path
+    @staticmethod
+    def bit_identity():
         spec = importlib.util.spec_from_file_location(
             "bit_identity", Path(__file__).resolve().parents[1] / "scripts" / "bit_identity.py"
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        return module
+
+    def test_bit_identity_keys_each_field(self):
+        # a field one tree lacks shows alone, keyed by its path
+        module = self.bit_identity()
         diag = diagonalize(QMatrix.identity(2))
         keys = [key for key, _ in module.result_leaves("w 1 0 0", lambda: (diag, 1.0))]
         fields = ["transform", "values", "residual", "pairing_residual", "kappa"]
         assert keys == [f"w 1 0 0/0/{f}" for f in fields] + ["w 1 0 0/1"]
         assert module.result_leaves("w 1 0 0", lambda: 1 / 0)[0][0] == "w 1 0 0/raised"
+
+    def test_bit_identity_tally(self):
+        # differing leaves counted per workload, case kind and field path
+        module = self.bit_identity()
+        poly = QMatrixPolynomial((QMatrix.identity(3),) * 3)
+        case = SimpleNamespace(kind="hw-type-poly", size=6, args=(poly, poly))
+        assert module.case_kind(case) == "hw-type-poly(3,2)"
+        case = SimpleNamespace(kind="diag", size=64, args=(QMatrix.identity(64),))
+        assert module.case_kind(case) == "diag(64)"
+        kind = module.cli_kind(["--format", "machine", "hw", "--type", "a.json", "b.json"])
+        assert kind == "machine:hw,--type"
+        differ = [
+            "poly-small 1 0 15 quadratic-unitary(8,2)/kappa",
+            "poly-small 2 3 15 quadratic-unitary(8,2)/kappa",
+            "poly-small 1 0 19 hw-type-poly(8,2)/rhs",
+            "poly-small 1 - inputs",
+            "cli-matrix - - 7 machine:hw,--type",
+            "diag-kappa 1 0 0 diag(32)/0/values",
+        ]
+        assert module.tally(differ) == [
+            "1 cli-matrix machine:hw,--type -",
+            "1 diag-kappa diag(32) 0/values",
+            "1 poly-small hw-type-poly(8,2) rhs",
+            "1 poly-small inputs -",
+            "2 poly-small quadratic-unitary(8,2) kappa",
+        ]
 
     def test_cli_matrix_script(self, cli_matrix, capsys):
         runs = cli_matrix.matrix(cli_matrix.fixture_names())

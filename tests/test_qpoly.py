@@ -26,6 +26,7 @@ from quathw import (
     companion_similarity_witness,
     complex_companion,
     condition_number,
+    diagonalize,
     diagonalizable_companion,
     diagonalizable_companion_linear,
     diagonalizable_companion_quadratic_unitary,
@@ -36,6 +37,7 @@ from quathw import (
     standard_eigenvalues_poly,
     standard_representative,
 )
+import quathw.qpoly as qpoly
 from quathw.qpoly import _diagonal_coefficient_result, _is_doubly_stochastic
 from quathw.generators import (
     random_commuting_monic_polynomial,
@@ -473,13 +475,99 @@ class TestDiagonalizableCompanion:
         assert not diagonalizable_companion(quadratic_unitary_q()).diagonalizable
 
 
+def clustered_commuting_unitary_quadratic(seed, gap, n=4):
+    """lambda^2 + U D_1 U* lambda + U D_0 U* with a random quaternion
+    unitary U and unit-modulus diagonals D_0 and D_1, in each of which
+    entries 0, 1 and entries 2, 3 are ``gap`` apart in angle."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary_qmatrix(rng, n)
+    coefficients = []
+    for _ in range(2):
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        theta[1], theta[3] = theta[0] + gap, theta[2] + gap
+        coefficients.append(u @ QMatrix.diagonal(np.exp(1j * theta)) @ u.h)
+    return QMatrixPolynomial((*coefficients, QMatrix.identity(n)))
+
+
+def commuting_unitary_quadratic(seed, n):
+    u0, u1 = random_commuting_unitary_pair(rng_for(414, seed), n)
+    return QMatrixPolynomial((u0, u1, QMatrix.identity(n)))
+
+
+SQRT3 = math.sqrt(3.0)
+EPS = np.finfo(float).eps
+
+
 class TestDiagonalizableCompanionQuadratic:
-    def test_identity_coefficients(self):
+    def test_identity_coefficients(self, monkeypatch):
+        # every pencil value coincides, so the companion goes to diagonalize
         p = QMatrixPolynomial((QMatrix.identity(2), QMatrix.identity(2), QMatrix.identity(2)))
+        calls = []
+        monkeypatch.setattr(
+            qpoly, "diagonalize", lambda a, tols: calls.append(a) or diagonalize(a, tols)
+        )
         out = diagonalizable_companion_quadratic_unitary(p)
         assert out.diagonalizable
         root = complex(-0.5, math.sqrt(3.0) / 2.0)
         assert spectra_close(out.values, [root] * 4, tol=1e-9)
+        assert len(calls) == 1
+        want = diagonalize(companion(p).matrix)
+        assert out.transform.c1.tobytes() == want.transform.c1.tobytes()
+        assert out.transform.c2.tobytes() == want.transform.c2.tobytes()
+        assert (out.values, out.kappa, out.residual) == (want.values, want.kappa, want.residual)
+
+    @pytest.mark.parametrize("gap", [3e-6, 1e-5])
+    def test_clustered_coefficient_spectra(self, gap):
+        # the class guarantees a diagonalizable companion however close the
+        # coefficients' eigenvalues; the eigensolver's per-cluster kernels
+        # missed it on many of these
+        failed = []
+        for seed in range(100):
+            out = diagonalizable_companion_quadratic_unitary(
+                clustered_commuting_unitary_quadratic(seed, gap)
+            )
+            assert out.klass == "commuting-unitary"
+            if not (out.diagonalizable and out.residual <= DEFAULT_TOLERANCES.diag_verify):
+                failed.append(seed)
+        assert failed == []
+
+    def test_kappa_at_most_sqrt3(self):
+        # the bound proved in the docstring, up to rounding
+        worst = 0.0
+        for trial in range(200):
+            n = 1 + trial % 8
+            out = diagonalizable_companion_quadratic_unitary(commuting_unitary_quadratic(trial, n))
+            assert out.kappa <= SQRT3 * (1.0 + 32 * n * EPS)
+            worst = max(worst, out.kappa / SQRT3)
+        assert worst > 0.999
+
+    def test_kappa_bound_is_attained(self):
+        # roots exp(i t) and exp(i (t + 2 pi / 3)): both on the unit circle
+        # with |r1 + r2| = 1, where the bound holds with equality
+        r1, r2 = np.exp(0.3j), np.exp(0.3j + 2j * np.pi / 3)
+        p = QMatrixPolynomial(tuple(
+            QMatrix.from_complex([[c]]) for c in (r1 * r2, -(r1 + r2), 1.0)
+        ))
+        out = diagonalizable_companion_quadratic_unitary(p)
+        assert abs(out.kappa - SQRT3) <= SQRT3 * 32 * EPS
+        assert spectra_close(out.values, [r1, r2], tol=1e-14)
+        assert out.residual <= 1e-15
+
+    def test_construction_needs_no_diagonalize(self, monkeypatch):
+        # distinct pencil values: the class's own construction, whose values
+        # are the closed-form roots
+        def refuse(a, tols):
+            raise AssertionError("diagonalize ran")
+
+        monkeypatch.setattr(qpoly, "diagonalize", refuse)
+        for trial in range(12):
+            n = 1 + trial % 4
+            p = commuting_unitary_quadratic(trial, n)
+            out = diagonalizable_companion_quadratic_unitary(p)
+            assert out.klass == "commuting-unitary" and out.residual <= 1e-12
+            assert spectra_close(out.values, standard_eigenvalues(companion(p).matrix).values)
+            rep = hw_type_poly(p, random_unitary_polynomial(rng_for(415, trial), n, 2))
+            assert rep.theorem_class == "commuting-unitary" and rep.kappa == out.kappa
 
     def test_random_commuting_pairs(self):
         for trial in range(20):
