@@ -8,10 +8,13 @@ the fixture directory, so two checkouts print comparable lines:
     diff <(PYTHONPATH=../other/src python3 scripts/cli_matrix.py) \\
          <(PYTHONPATH=src python3 scripts/cli_matrix.py)
 
-The matrix is both output formats times: ``eigs``, ``diag`` and
+The matrix is both output formats times: ``eigs`` and ``diag``, at the
+default tolerances and with ``--tol pairing=1e-17``, and
 ``bounds --class unitary|ds|commuting`` on every fixture; ``hw`` and
 ``hw --type`` on every ordered pair of fixtures; ``paper-suite``; and
-``fuzz --trials 8 --seed 3``.  With the 8 bundled fixtures that is 340 runs.
+``fuzz --trials 8 --seed 3``.  With the 8 bundled fixtures that is 372 runs.
+The tight pairing tolerance turns the rounding of some folds into a
+numeric failure, so both commands show where they apply the pairing check.
 """
 
 import contextlib
@@ -37,8 +40,9 @@ def matrix(names: list[str]) -> list[list[str]]:
     for fmt in ("human", "machine"):
         head = ["--format", fmt]
         for name in names:
-            runs.append(head + ["eigs", name])
-            runs.append(head + ["diag", name])
+            for tols in ([], ["--tol", "pairing=1e-17"]):
+                runs.append(head + tols + ["eigs", name])
+                runs.append(head + tols + ["diag", name])
             for klass in ("unitary", "ds", "commuting"):
                 runs.append(head + ["bounds", name, "--class", klass])
         for a in names:

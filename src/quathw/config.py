@@ -30,7 +30,6 @@ class Tolerances:
     commute: float = 1e-8            # commutator residual, relative
     doubly_stochastic: float = 1e-10 # row/column sums and entry checks
     monic_residual: float = 1e-10    # ||B_i A_m - A_i||_F check after normalization
-    similarity_residual: float = 1e-10  # permutation-similarity witness residual
     ineq_rel: float = 1e-9           # holds <=> lhs <= rhs*(1+ineq_rel) + ineq_abs
     ineq_abs: float = 1e-9
     strict_margin: float = 1e-9      # strictness margin for open-interval bounds

@@ -49,10 +49,10 @@ from .errors import (
 )
 from .qmatrix import (
     _PRODUCT_SAFE,
+    Diagonalization,
     NormalEigenvalues,
     QMatrix,
     StandardSpectrum,
-    _checked_spectrum,
     _normal_adjoint_eigenvalues,
     _spectrum,
     _square,
@@ -426,7 +426,7 @@ def hw_report(
 
 
 def _report(
-    lam: StandardSpectrum,
+    lam: StandardSpectrum | Diagonalization,
     mu: StandardSpectrum,
     a: QMatrix,
     b: QMatrix,
@@ -436,7 +436,7 @@ def _report(
     theorem_class: str | None = None,
 ) -> InequalityReport:
     """``hw_report`` of equal square A and B, with the standard eigenvalues
-    ``lam`` of A and ``mu`` of B already computed."""
+    of A and B already computed: the ``values`` of ``lam`` and ``mu``."""
     match = min_cost_assignment(lam.values, mu.values, tols)
     rhs = (1.0 if kappa is None else kappa * kappa) * _squared_norm(a - b)
     return InequalityReport(
@@ -579,13 +579,14 @@ def hw_type_check(
     theorem only for a normal B, which is not checked; for another B a False
     ``holds`` is no program fault (J.-G. Sun, LAA 246, 1996).  A's standard
     eigenvalues are the diagonalization's own, which are exactly those of
-    ``standard_eigenvalues``, under the same pairing check.
+    ``standard_eigenvalues``: ``diagonalize`` ends in the one acceptance
+    step, ``qmatrix._accepted``, which raises NotDiagonalizableError on a
+    defect and then PairingFailureError under the same pairing check.
     """
     if a.shape != b.shape or not a.is_square:
         raise ShapeMismatchError(f"need equal square shapes, got {a.shape} and {b.shape}")
-    diag = diagonalize(a, tols)  # raises NotDiagonalizableError
-    lam = _checked_spectrum(a, diag.values, diag.pairing_residual, tols)
-    return _report(lam, standard_eigenvalues(b, tols), a, b, tols, "hw-type", diag.kappa)
+    diag = diagonalize(a, tols)
+    return _report(diag, standard_eigenvalues(b, tols), a, b, tols, "hw-type", diag.kappa)
 
 
 # -- the built-in non-standard right-eigenvalue demonstration ----------------

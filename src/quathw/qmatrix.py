@@ -699,9 +699,9 @@ class Diagonalization:
     eigenvalues aligned with the columns of X and sorted lexicographically.
     ``residual`` is ||X^-1 A X - diag(values)||_F / max(||A||_F, tiny).
     ``pairing_residual`` is that of the conjugate fold that gave the values,
-    unchecked: the values and residual are those of ``standard_eigenvalues``,
-    which raises when it exceeds the pairing tolerance.  ``kappa`` is
-    ``condition_number(transform)``, computed once X has passed verification.
+    0 for closed-form values, within the pairing tolerance as in
+    ``standard_eigenvalues``.  ``kappa`` is ``condition_number(transform)``.
+    Every record is built by ``_accepted``, the one acceptance step.
     """
 
     transform: QMatrix
@@ -800,9 +800,10 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
     exactly that spectrum.  The n representatives are clustered at the
     ``diag_cluster`` radius, and one SVD per cluster checks its geometric
     multiplicity and gives its quaternion eigenvector columns.  Raises
-    NotDiagonalizableError when some eigenvalue is defective or the
-    reconstruction fails verification.  A merged cluster's columns span its
-    eigenspace but need not be eigenvectors of one value.
+    NotDiagonalizableError when some eigenvalue is defective; X then meets
+    ``_accepted``, the acceptance step of every diagonalization.  A merged
+    cluster's columns span its eigenspace but need not be eigenvectors of
+    one value.  The radius and the kernel floor are relative to ||A||_F.
 
     A cluster is real when one of its pairs lies within the radius of
     itself.  It shifts by the real part of the mean of all its members, and
@@ -818,7 +819,7 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
     n = a.rows
     chi = adjoint(a)
     fro = a.frobenius_norm()
-    scale = max(1.0, fro)
+    scale = max(fro, _TINY)
     w = clinalg.eigenvalues(chi).values
     reps, pairing_residual, pairs = _fold_conjugate_spectrum(w, fro, tols)
     radius = tols.diag_cluster * scale
@@ -849,8 +850,20 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
     columns.sort(key=lambda c: (c[0].real, c[0].imag))
     cols = np.column_stack([v for _, v in columns])
     x = QMatrix(cols[:n], -cols[n:].conj())
-    values = tuple(z for z, _ in columns)
+    return _accepted(a, x, tuple(z for z, _ in columns), pairing_residual, tols)
 
+
+def _accepted(
+    a: QMatrix, x: QMatrix, values: tuple[complex, ...], pairing_residual: float,
+    tols: Tolerances,
+) -> Diagonalization:
+    """X and the values as A's diagonalization, once they pass acceptance.
+
+    Raises NotDiagonalizableError when X is numerically singular or
+    ||X^-1 A X - diag(values)||_F / ||A||_F exceeds ``diag_verify``, then
+    PairingFailureError when the values' fold residual exceeds the pairing
+    tolerance (``_checked_spectrum``), so a defect is reported first.
+    """
     try:
         xinv = inverse(x, tols)
     except SingularMatrixError as exc:
@@ -859,11 +872,12 @@ def diagonalize(a: QMatrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Diagonaliz
         ) from exc
     residual = (
         (xinv @ a @ x) - QMatrix.diagonal(values)
-    ).frobenius_norm() / max(fro, _TINY)
+    ).frobenius_norm() / max(a.frobenius_norm(), _TINY)
     if residual > tols.diag_verify:
         raise NotDiagonalizableError(
             f"diagonalization residual {residual:.3e} exceeds {tols.diag_verify:.1e}"
         )
+    _checked_spectrum(a, values, pairing_residual, tols)
     return Diagonalization(
         transform=x,
         values=values,

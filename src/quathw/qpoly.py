@@ -34,13 +34,12 @@ from .qmatrix import (
     Diagonalization,
     QMatrix,
     StandardSpectrum,
-    _checked_spectrum,
+    _accepted,
     _fold_conjugate_spectrum,
     _groups,
     _normal_basis,
     _squared_norm,
     adjoint,
-    condition_number,
     diagonalize,
     inverse,
     is_diagonal,
@@ -50,7 +49,7 @@ from .qmatrix import (
 )
 from .quaternion import similarity_witness, standard_representative
 
-_TINY = np.finfo(float).tiny
+_SIMILARITY_RESIDUAL = 1e-10  # companion_similarity_witness: the copies are exact
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ def companion_similarity_witness(
     idx = np.concatenate([np.arange(c * n, (c + 1) * n) for c in block_map])
     perm = np.eye(2 * m * n)[idx]
     residual = float(np.linalg.norm(chi_cp - c_pchi[np.ix_(idx, idx)], "fro"))
-    bound = tols.similarity_residual * (1.0 + float(np.linalg.norm(chi_cp, "fro")))
+    bound = _SIMILARITY_RESIDUAL * (1.0 + float(np.linalg.norm(chi_cp, "fro")))
     if residual > bound:
         raise PairingFailureError(
             f"companion similarity residual {residual:.3e} exceeds {bound:.3e}"
@@ -438,7 +437,7 @@ def _diagonal_coefficient_result(comp: QMatrix, tols: Tolerances) -> Diagonaliza
     The witness matrix is a diagonal of unit quaternions, so kappa is 1; it
     reduces to the identity when every entry is already a complex number in
     the upper half plane.  The values are closed forms, not a conjugate fold,
-    so ``pairing_residual`` is 0.
+    so they meet ``_accepted`` with a fold residual of 0.
     """
     entries = [comp[k, k] for k in range(comp.rows)]
     witnesses = [similarity_witness(q) for q in entries]
@@ -446,25 +445,7 @@ def _diagonal_coefficient_result(comp: QMatrix, tols: Tolerances) -> Diagonaliza
     order = sorted(range(comp.rows), key=lambda k: (values[k].real, values[k].imag))
     d = QMatrix.diagonal(witnesses)
     x = QMatrix(d.c1[:, order], d.c2[:, order])  # columns in eigenvalue order
-    return _closed_form_result(comp, x, tuple(values[k] for k in order), tols)
-
-
-def _closed_form_result(
-    comp: QMatrix, x: QMatrix, values: tuple[complex, ...], tols: Tolerances
-) -> Diagonalization:
-    """The record of a class construction's X and values: the residual
-    ||X^-1 C X - diag(values)||_F / ||C||_F, a ``pairing_residual`` of 0
-    since no conjugate fold produced the values, and kappa(X)."""
-    residual = (
-        (inverse(x, tols) @ comp @ x) - QMatrix.diagonal(values)
-    ).frobenius_norm() / max(comp.frobenius_norm(), _TINY)
-    return Diagonalization(
-        transform=x,
-        values=values,
-        residual=float(residual),
-        pairing_residual=0.0,
-        kappa=condition_number(x, tols),
-    )
+    return _accepted(comp, x, tuple(values[k] for k in order), 0.0, tols)
 
 
 # silver-ratio weight of U_1 in the pencil U_0 + s U_1: irrational, and
@@ -497,8 +478,8 @@ def _commuting_unitary_result(comp: CompanionMatrix, tols: Tolerances) -> Diagon
     Returns None, and the companion goes to ``diagonalize``, when the
     pencil's certificate fails, when two of its values lie within the
     coupling radius (a real value and its own conjugate do; U_0 = U_1 = I
-    puts all 2n there), or when X fails the residual check of
-    ``diagonalize``.
+    puts all 2n there), or when X fails ``_accepted`` (its fold residual is
+    0: the roots are closed forms).
     """
     u0, u1 = comp.monic_coefficients
     n = u0.rows
@@ -539,10 +520,9 @@ def _commuting_unitary_result(comp: CompanionMatrix, tols: Tolerances) -> Diagon
         np.concatenate([c1, c1 * lam]), np.concatenate([c2, c2 * lam.conj()])
     )
     try:
-        diag = _closed_form_result(comp.matrix, x, tuple(lam.tolist()), tols)
-    except SingularMatrixError:
+        return _accepted(comp.matrix, x, tuple(lam.tolist()), 0.0, tols)
+    except NotDiagonalizableError:
         return None
-    return diag if diag.residual <= tols.diag_verify else None
 
 
 def _classify_for_diagonalizability(p: QMatrixPolynomial, tols: Tolerances) -> str:
@@ -562,14 +542,17 @@ def _classify_for_diagonalizability(p: QMatrixPolynomial, tols: Tolerances) -> s
         ):
             return "psd"
         return "none"
-    if p.degree == 2 and p.is_monic(tol=1e-10) and _commuting_unitary_failure(p, tols) is None:
-        return "commuting-unitary"
-    return "none"
+    return "commuting-unitary" if _commuting_unitary_failure(p, tols) is None else "none"
 
 
 def _commuting_unitary_failure(p: QMatrixPolynomial, tols: Tolerances) -> str | None:
-    """The first hypothesis of the commuting-unitary class that the monic
-    quadratic ``p`` fails, worded as an error, or None when it meets them."""
+    """The first hypothesis of the commuting-unitary class that ``p`` fails
+    (degree 2, monic, unitary coefficients that commute), worded as an
+    error, or None when it meets them."""
+    if p.degree != 2:
+        return f"expected degree 2, got degree {p.degree}"
+    if not p.is_monic(tol=1e-10):
+        return "polynomial must be monic"
     u0, u1 = p.coefficients[0], p.coefficients[1]
     for name, u in (("constant", u0), ("linear", u1)):
         if not is_unitary(u, tols.predicate):
@@ -578,38 +561,34 @@ def _commuting_unitary_failure(p: QMatrixPolynomial, tols: Tolerances) -> str | 
     return None if commute else f"coefficients do not commute (residual {comm:.3e})"
 
 
-def _class_diagonalization(
+def _diagonalized_companion(
     comp: CompanionMatrix, klass: str, tols: Tolerances
-) -> Diagonalization | None:
-    """The companion's diagonalization by the construction of coefficient
-    class ``klass``, with closed-form values, or None when the class has no
-    construction or it does not apply."""
+) -> tuple[Diagonalization | None, bool]:
+    """The companion diagonalized by the construction of class ``klass``
+    (diagonal or commuting-unitary), or else by ``diagonalize``, each ending
+    in ``_accepted``, and whether the values are the construction's closed
+    forms.  A defect raises NotDiagonalizableError under a guaranteeing
+    class and gives (None, False) under "none"."""
+    diag = None
     if klass == "diagonal":
-        return _diagonal_coefficient_result(comp.matrix, tols)
-    if klass == "commuting-unitary":
-        return _commuting_unitary_result(comp, tols)
-    return None
-
-
-def _generic_diagonalization(comp: QMatrix, klass: str, tols: Tolerances) -> Diagonalization | None:
-    """``diagonalize(comp)``, or None when it is defective under class "none"."""
+        diag = _diagonal_coefficient_result(comp.matrix, tols)
+    elif klass == "commuting-unitary":
+        diag = _commuting_unitary_result(comp, tols)
+    if diag is not None:
+        return diag, True
     try:
-        return diagonalize(comp, tols)
+        return diagonalize(comp.matrix, tols), False
     except NotDiagonalizableError:
         if klass != "none":
             raise
-        return None
+        return None, False
 
 
 def _companion_verdict(
     p: QMatrixPolynomial, klass: str, tols: Tolerances
 ) -> CompanionDiagonalizability:
-    """The companion of ``p`` diagonalized by the construction of class
-    ``klass``, or else by ``diagonalize``."""
-    comp = companion(p, tols)
-    diag = _class_diagonalization(comp, klass, tols)
-    if diag is None:
-        diag = _generic_diagonalization(comp.matrix, klass, tols)
+    """The companion of ``p`` diagonalized by ``_diagonalized_companion``."""
+    diag, _ = _diagonalized_companion(companion(p, tols), klass, tols)
     if diag is None:
         return CompanionDiagonalizability(diagonalizable=False, klass=klass)
     return CompanionDiagonalizability(
@@ -667,10 +646,6 @@ def diagonalizable_companion_quadratic_unitary(
     roots lie on the unit circle.  The computed kappa exceeds sqrt(3) only
     by rounding, of order n eps.
     """
-    if p.degree != 2:
-        raise PreconditionViolatedError(f"expected degree 2, got degree {p.degree}")
-    if not p.is_monic(tol=1e-10):
-        raise PreconditionViolatedError("polynomial must be monic")
     failure = _commuting_unitary_failure(p, tols)
     if failure is not None:
         raise PreconditionViolatedError(failure)
@@ -683,13 +658,12 @@ def hw_type_poly(
     """Hoffman-Wielandt-type inequality for two companion matrices.
 
     The first polynomial's companion must be diagonalizable; the justifying
-    coefficient class (when one applies) is recorded in the report.  The
-    diagonal and commuting-unitary classes diagonalize it by their own
-    constructions, whose values are closed forms, so its standard
-    eigenvalues come from ``standard_eigenvalues``.  When the
-    commuting-unitary construction does not apply, and for every other
-    class, ``diagonalize`` runs, and its values are the standard
-    eigenvalues, as in ``hw_type_check``.
+    coefficient class (when one applies) is recorded in the report.
+    ``_diagonalized_companion`` diagonalizes it, and the one acceptance
+    step, ``_accepted``, raises on a defect and then on a fold beyond the
+    pairing tolerance.  When a class construction gave closed-form values,
+    the standard eigenvalues come from ``standard_eigenvalues``; otherwise
+    they are the values of ``diagonalize``, as in ``hw_type_check``.
     """
     if p.size != q.size or p.degree != q.degree:
         raise ShapeMismatchError(
@@ -700,16 +674,12 @@ def hw_type_poly(
     comp = companion(p, tols)
     cp = comp.matrix
     cq = companion(q, tols).matrix
-    diag = _class_diagonalization(comp, klass, tols)
-    if diag is not None:  # closed-form values, not the eigensolver's
-        lam = standard_eigenvalues(cp, tols)
-    else:
-        diag = _generic_diagonalization(cp, klass, tols)
-        if diag is None:
-            raise NotDiagonalizableError(
-                "companion matrix of the first polynomial is not diagonalizable"
-            )
-        lam = _checked_spectrum(cp, diag.values, diag.pairing_residual, tols)
+    diag, closed = _diagonalized_companion(comp, klass, tols)
+    if diag is None:
+        raise NotDiagonalizableError(
+            "companion matrix of the first polynomial is not diagonalizable"
+        )
+    lam = standard_eigenvalues(cp, tols) if closed else diag  # the eigensolver's values
     return _report(
         lam, standard_eigenvalues(cq, tols), cp, cq, tols, "hw-type-poly", diag.kappa, klass
     )

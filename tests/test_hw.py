@@ -650,8 +650,9 @@ class TestHwTypeCheck:
 
 @pytest.mark.parametrize("k", [-40, -30, -20, 20, 40])
 def test_scaling_by_a_power_of_two_scales_results_exactly(k):
-    # the fold's clamp and the assignment's tie slack are relative, so
-    # eigenvalues scale by 2^k, lhs and rhs by 4^k, and nothing else moves
+    # the fold's clamp, the assignment's tie slack and diagonalize's cluster
+    # radius and kernel floor are relative, so eigenvalues and pairing
+    # residuals scale by 2^k, lhs and rhs by 4^k, and nothing else moves
     rng = np.random.default_rng(5)
     g = random_qmatrix(rng, 16)
     a, _ = random_normal_qmatrix(rng, 16)
@@ -663,6 +664,14 @@ def test_scaling_by_a_power_of_two_scales_results_exactly(k):
     got, want = hw_check(a * t, b * t), hw_check(a, b)
     assert (got.lhs, got.rhs) == (want.lhs * t * t, want.rhs * t * t)
     assert (got.permutation, got.holds) == (want.permutation, want.holds)
+    # ||d||_F = 9.02: an absolute floor of 1 rejected it at 2^-20 and below
+    d = random_diagonalizable_qmatrix(rng_for(5, 0), 16)[0]
+    got, want = diagonalize(d * t), diagonalize(d)
+    assert got.values == tuple(z * t for z in want.values)
+    assert got.pairing_residual == want.pairing_residual * t
+    for part in ("c1", "c2"):
+        assert getattr(got.transform, part).tobytes() == getattr(want.transform, part).tobytes()
+    assert (got.residual, got.kappa) == (want.residual, want.kappa)
 
 
 class TestNonStandardCounterexample:

@@ -354,6 +354,18 @@ class TestCli:
         assert payload["class"] == "none"
         assert payload["residual"] <= 1e-12
 
+    @pytest.mark.parametrize(
+        "name", ["linear_normal_q.json", "quadratic_unitary_p.json", "unitary_j_diagonal.json"]
+    )
+    def test_diag_refuses_the_fold_eigs_refuses(self, name, capsys):
+        # every diagonalization meets the pairing check of standard_eigenvalues
+        tight = ["--tol", "pairing=1e-17"]
+        assert main(tight + ["eigs", self.fixture(name)]) == 4
+        eigs_err = capsys.readouterr().err
+        assert eigs_err.startswith("numeric failure: conjugate pairing residual")
+        assert main(tight + ["diag", self.fixture(name)]) == 4
+        assert capsys.readouterr() == ("", eigs_err)
+
     def test_paper_suite_passes(self, capsys):
         code = main(["--format", "machine", "paper-suite"])
         payload = json.loads(capsys.readouterr().out)
@@ -402,8 +414,8 @@ class TestCli:
         )
         assert out.returncode == 0, out.stdout + out.stderr
         differ, _, _, _, _, _, results_differ, _, results, _ = out.stdout.split()
-        # 340 CLI runs, 3 input digests, 12 + 20 + 5 operations
-        assert (differ, results_differ, results) == ("0", "0", "380")
+        # 372 CLI runs, 3 input digests, 12 + 20 + 5 operations
+        assert (differ, results_differ, results) == ("0", "0", "412")
 
     @staticmethod
     def bit_identity():
@@ -451,8 +463,8 @@ class TestCli:
 
     def test_cli_matrix_script(self, cli_matrix, capsys):
         runs = cli_matrix.matrix(cli_matrix.fixture_names())
-        assert len(runs) == 340
-        assert len({tuple(r) for r in runs}) == 340
+        assert len(runs) == 372
+        assert len({tuple(r) for r in runs}) == 372
         cwd = os.getcwd()
         cli_matrix.run_all(runs[:2])
         assert os.getcwd() == cwd

@@ -489,6 +489,20 @@ def clustered_commuting_unitary_quadratic(seed, gap, n=4):
     return QMatrixPolynomial((*coefficients, QMatrix.identity(n)))
 
 
+def real_pencil_commuting_unitary_quadratic(seed, gap=3e-6):
+    """lambda^2 + U D_1 U* lambda + U D_0 U* at n = 4 with a random
+    quaternion unitary U, where D_k = diag(1, exp(i gap), exp(i t_k),
+    exp(i (t_k + gap))): entry 0 of both diagonals is 1, so one value of
+    the pencil U_0 + s U_1 is real."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary_qmatrix(rng, 4)
+    coefficients = [
+        u @ QMatrix.diagonal(np.exp(1j * np.array([0.0, gap, t, t + gap]))) @ u.h
+        for t in rng.uniform(0.0, 2.0 * np.pi, 2)
+    ]
+    return QMatrixPolynomial((*coefficients, QMatrix.identity(4)))
+
+
 def commuting_unitary_quadratic(seed, n):
     u0, u1 = random_commuting_unitary_pair(rng_for(414, seed), n)
     return QMatrixPolynomial((u0, u1, QMatrix.identity(n)))
@@ -530,6 +544,21 @@ class TestDiagonalizableCompanionQuadratic:
             if not (out.diagonalizable and out.residual <= DEFAULT_TOLERANCES.diag_verify):
                 failed.append(seed)
         assert failed == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NotDiagonalizableError,
+        reason="a real pencil value sends the companion to diagonalize, whose "
+        "clusters merge the coefficients' close eigenvalues",
+    )
+    def test_real_pencil_value(self):
+        # the class guarantees a diagonalizable companion here too
+        for seed in range(10):
+            out = diagonalizable_companion_quadratic_unitary(
+                real_pencil_commuting_unitary_quadratic(seed)
+            )
+            assert out.klass == "commuting-unitary"
+            assert out.residual <= DEFAULT_TOLERANCES.diag_verify
 
     def test_kappa_at_most_sqrt3(self):
         # the bound proved in the docstring, up to rounding
