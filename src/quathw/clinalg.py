@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _TINY, within
 from .errors import (
     NoConvergenceError,
     NonFiniteError,
@@ -19,8 +20,6 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,10 @@ def hermitian_eigenvalues(a: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in nondecreasing order."""
     a = _as_square_complex(a)
     _require_finite(a)
-    fro = float(np.linalg.norm(a, "fro"))
     defect = float(np.linalg.norm(a - a.conj().T, "fro"))
-    if defect > sym_tol * (1.0 + fro):
+    if not within(defect, sym_tol, float(np.linalg.norm(a, "fro"))):
         raise NotHermitianError(
-            f"||A - A*||_F = {defect:.3e} exceeds tolerance {sym_tol:.1e}*(1+||A||_F)"
+            f"||A - A*||_F = {defect:.3e} exceeds tolerance {sym_tol:.1e}*||A||_F"
         )
     return np.linalg.eigvalsh(a)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, within
 from .errors import (
     LengthMismatchError,
     MalformedPairingError,
@@ -49,6 +49,7 @@ from .errors import (
 )
 from .qmatrix import (
     _PRODUCT_SAFE,
+    _PRODUCT_SMALL,
     Diagonalization,
     NormalEigenvalues,
     QMatrix,
@@ -333,7 +334,7 @@ def fold_conjugate_assignment(
     canon: dict[int, complex] = {}
     for i, t in enumerate(targets):
         if t in canon:
-            if abs(canon[t] - gamma2n[i]) > 1e-9 * (1.0 + abs(canon[t])):
+            if not within(abs(canon[t] - gamma2n[i]), 1e-9, abs(canon[t])):
                 raise MalformedPairingError(
                     f"gamma values for target {t} disagree: {canon[t]} vs {gamma2n[i]}"
                 )
@@ -401,10 +402,6 @@ class InequalityReport:
         return tuple(j + 1 for j in self.permutation)
 
 
-def _holds(lhs: float, rhs: float, tols: Tolerances) -> bool:
-    return lhs <= rhs * (1.0 + tols.ineq_rel) + tols.ineq_abs
-
-
 def hw_report(
     a: QMatrix,
     b: QMatrix,
@@ -436,14 +433,17 @@ def _report(
     theorem_class: str | None = None,
 ) -> InequalityReport:
     """``hw_report`` of equal square A and B, with the standard eigenvalues
-    of A and B already computed: the ``values`` of ``lam`` and ``mu``."""
+    of A and B already computed: the ``values`` of ``lam`` and ``mu``.  It
+    holds when lhs <= rhs or ``within(lhs - rhs, ineq_rel, rhs + ||A||_F^2 +
+    ||B||_F^2)``: lhs errs relative to the operands, and rhs is 0 for A = B."""
     match = min_cost_assignment(lam.values, mu.values, tols)
     rhs = (1.0 if kappa is None else kappa * kappa) * _squared_norm(a - b)
+    scale = rhs + _squared_norm(a) + _squared_norm(b)
     return InequalityReport(
         kind=kind,
         lhs=match.cost,
         rhs=rhs,
-        holds=_holds(match.cost, rhs, tols),
+        holds=match.cost <= rhs or within(match.cost - rhs, tols.ineq_rel, scale),
         slack=rhs - match.cost,
         permutation=match.permutation,
         kappa=kappa,
@@ -463,7 +463,7 @@ def _proves_normal(x: QMatrix, found: NormalEigenvalues | None, tol: float) -> b
     """True when the normal route's ``found`` for the square ``x`` proves
     that ``is_normal(x, tol)`` holds, by the bound of ``hw_check``."""
     fro = x.frobenius_norm()
-    if found is None or not fro < _PRODUCT_SAFE:
+    if found is None or not _PRODUCT_SMALL <= fro < _PRODUCT_SAFE:
         return False
     m = 2 * x.rows
     lift = 1.0 + _gamma(4 * m * m + 64)
@@ -481,7 +481,7 @@ def _proves_normal(x: QMatrix, found: NormalEigenvalues | None, tol: float) -> b
         + math.sqrt(2.0) * _gamma(m + 2) * chi_fro * chi_fro
         + _UNDERFLOW
     )
-    return bound <= tol * (1.0 + _squared_norm(x))
+    return within(bound, tol, _squared_norm(x))
 
 
 def hw_check(
@@ -504,8 +504,8 @@ def hw_check(
     and an accepted certificate usually proves it without the two
     quaternion products ``is_normal`` forms.  The proof bounds the defect
     that ``is_normal`` would compute, rounding included, and compares it
-    with ``tol (1 + ||A||_F^2)`` computed exactly as ``is_normal`` computes
-    it.  Let n be A's order, m = 2n, u = 2^-53, gamma_k = k u / (1 - k u)
+    with ``tol max(||A||_F^2, tiny)`` by ``within``, exactly as ``is_normal``
+    does.  Let n be A's order, m = 2n, u = 2^-53, gamma_k = k u / (1 - k u)
     (Higham, Accuracy and Stability, ch. 3), F the computed ||A||_F, and
     lift = 1 + gamma_{4m^2+64}.  The route gives V (from eigh), the computed
     G = V^H chi V, its accepted residual r (the mass of G outside the
@@ -543,18 +543,19 @@ def hw_check(
 
     So ``is_normal(x, tol)`` holds when
     lift^16 ((sum_k c_k + 8 gamma_{2m+2} X^2 + 4 X rho + 6 rho^2) / sqrt(2)
-    + sqrt(2) gamma_{m+2} X^2 + a) <= tol (1 + F^2), where lift^16 covers
+    + sqrt(2) gamma_{m+2} X^2 + a) <= tol max(F^2, tiny), where lift^16 covers
     every relative rounding of the computed norms, subtractions and the
     bound's own evaluation (fewer than 16 factors, each at most lift).  On
     random normal operands the left side is about 4.5e-11 ||A||_F^2 at
     n = 32 and 1.7e-10 ||A||_F^2 at n = 64, well below the default
     predicate tolerance of 1e-8.  The proof is not tried, and ``is_normal``
-    runs unchanged, when the certificate was not accepted, when F >= 2^500
-    (``is_normal`` then rescales; below it no square here overflows) or
-    when a quantity is not finite; ``is_normal`` also runs when the bound
-    is too large.  Errors are raised in the order of the separate calls: a non-square A,
-    NotNormalError for A, a non-square B, NotNormalError for B, unequal
-    shapes, then each operand's eigensolver fallback and pairing check.
+    runs unchanged, when the certificate was not accepted, when F lies
+    outside [2^-500, 2^500) (``is_normal`` then rescales; inside it no
+    square here overflows) or when a quantity is not finite; ``is_normal``
+    also runs when the bound is too large.  Errors are raised in the order
+    of the separate calls: a non-square A, NotNormalError for A, a
+    non-square B, NotNormalError for B, unequal shapes, then each operand's
+    eigensolver fallback and pairing check.
     """
     operands = []
     for x, which in ((a, "first"), (b, "second")):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clinalg
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import _TINY, DEFAULT_TOLERANCES, Tolerances, within
 from .errors import (
     NotDiagonalizableError,
     PairingFailureError,
@@ -37,9 +37,9 @@ from .errors import (
 )
 from .quaternion import Quaternion
 
-_TINY = np.finfo(float).tiny
 _INF = float("inf")
-_PRODUCT_SAFE = 2.0**500  # below this ||A||_F, products of two factors of A are finite
+# for ||A||_F in [2^-500, 2^500) products of two factors of A neither overflow nor underflow
+_PRODUCT_SMALL, _PRODUCT_SAFE = 2.0**-500, 2.0**500
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -278,12 +278,11 @@ def from_adjoint(m: np.ndarray, tol: float = 1e-10) -> QMatrix:
     n, p = m.shape[0] // 2, m.shape[1] // 2
     m11, m12 = m[:n, :p], m[:n, p:]
     m21, m22 = m[n:, :p], m[n:, p:]
-    scale = 1.0 + float(np.linalg.norm(m, "fro"))
     defect = max(
         float(np.linalg.norm(m22 - m11.conj(), "fro")),
         float(np.linalg.norm(m21 + m12.conj(), "fro")),
     )
-    if defect > tol * scale:
+    if not within(defect, tol, float(np.linalg.norm(m, "fro"))):
         raise ShapeMismatchError(
             f"matrix is not in the image of the adjoint embedding (defect {defect:.3e})"
         )
@@ -297,20 +296,38 @@ def _frobenius_norm(a: QMatrix) -> float:
         sq1 *= sq1
         sq2 *= sq2
         norm = math.sqrt(sq1.sum() + sq2.sum())
-        if norm < _INF:
+        if _PRODUCT_SMALL <= norm < _INF or not np.count_nonzero(a.c1) + np.count_nonzero(a.c2):
             return norm
-        # finite entries whose squares overflow: the norm of A 2^-e, times 2^e
+        # finite entries whose squares overflow or underflow: ||A 2^-e||_F 2^e
         e = _exponent(a)
         if e is None:
             return norm
-        return float(np.ldexp((a * 2.0**-e).frobenius_norm(), e))
+        return float(np.ldexp(_ldexp(a, -e).frobenius_norm(), e))
 
 
 def _exponent(a: QMatrix) -> int | None:
     """Binary exponent of A's largest real or imaginary entry part, or None
-    when some entry is not finite."""
-    big = max(float(np.abs(p).max()) for c in (a.c1, a.c2) for p in (c.real, c.imag))
-    return int(np.frexp(big)[1]) if big < _INF else None
+    when some entry is not finite or A = 0."""
+    big = float(np.max([np.abs(p).max() for c in (a.c1, a.c2) for p in (c.real, c.imag)]))
+    return int(np.frexp(big)[1]) if 0.0 < big < _INF else None  # a NaN fails both
+
+
+def _ldexp(a: QMatrix, e: int) -> QMatrix:
+    """A 2^e, in two factors where 2.0**e overflows (e > 1023: subnormal entries)."""
+    if e > 1023:
+        return a * 2.0**1023 * 2.0 ** (e - 1023)
+    return a * 2.0**e
+
+
+def _product_safe(a: QMatrix) -> QMatrix:
+    """A, or A 2^-e (e the binary exponent of A's largest entry part) when
+    ||A||_F lies outside [2^-500, 2^500).  That scaling is exact, and both
+    sides of ``within`` scale alike, so A 2^-e gets A's verdict."""
+    fro = a.frobenius_norm()
+    if _PRODUCT_SMALL <= fro < _PRODUCT_SAFE or fro == 0.0:  # 0 only for A = 0
+        return a
+    e = _exponent(a)
+    return a if e is None else _ldexp(a, -e)
 
 
 def _squared_norm(a: QMatrix) -> float:
@@ -369,75 +386,45 @@ def _square(a: QMatrix) -> QMatrix:
 
 
 def is_hermitian(a: QMatrix, tol: float = 1e-8) -> bool:
-    """||A - A*||_F <= tol (1 + ||A||_F), safe from overflow."""
-    _square(a)
-    return _rescaled_test(a, tol, 1, lambda x, c: (x - x.h).frobenius_norm())
-
-
-def _rescaled_test(a: QMatrix, tol: float, degree: int, defect) -> bool:
-    """defect(A, 1) <= tol (1 + ||A||_F^degree), safe from overflow.
-
-    ``defect(A, c)`` is built from products of A and c times fixed terms, so
-    that defect(A t, t^degree) = t^degree defect(A, 1) for a power of two t.
-    While ||A||_F < 2^500 no product of two factors of A overflows, and the
-    test runs as written.  Past that, when the defect is not finite while A
-    is, it runs on A 2^-e, whose entries are at most 1 (e the binary exponent
-    of A's largest entry part), as defect(A 2^-e, c) <= tol (c + ||A 2^-e||_F^degree)
-    with c = 2^(-e degree): both sides are those of A times c.
-    """
-    c = 1.0
-    if a.frobenius_norm() < _PRODUCT_SAFE:
-        d = defect(a, c)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = defect(a, c)
-        e = None if d < _INF else _exponent(a)
-        if e is not None:
-            a = a * 2.0**-e
-            c = 2.0 ** (-e * degree)
-            d = defect(a, c)
-    return d <= tol * (c + (a.frobenius_norm() if degree == 1 else _squared_norm(a)))
-
-
-def _gram_defect(g: QMatrix, c: float) -> float:
-    """||G - c I||_F"""
-    eye = QMatrix.identity(g.rows)
-    return (g - (eye if c == 1.0 else eye * c)).frobenius_norm()
+    """||A - A*||_F <= tol ||A||_F (``within``), safe from overflow."""
+    a = _product_safe(_square(a))
+    return within((a - a.h).frobenius_norm(), tol, a.frobenius_norm())
 
 
 def is_normal(a: QMatrix, tol: float = 1e-8) -> bool:
-    """||A A* - A* A||_F <= tol (1 + ||A||_F^2), safe from overflow."""
-    _square(a)
-    return _rescaled_test(a, tol, 2, lambda x, c: (x @ x.h - x.h @ x).frobenius_norm())
+    """||A A* - A* A||_F <= tol ||A||_F^2 (``within``), safe from overflow."""
+    a = _product_safe(_square(a))
+    return within((a @ a.h - a.h @ a).frobenius_norm(), tol, _squared_norm(a))
 
 
 def is_unitary(a: QMatrix, tol: float = 1e-8) -> bool:
-    """||A A* - I||_F and ||A* A - I||_F are at most tol (1 + ||A||_F^2),
-    safe from overflow."""
+    """||A A* - I||_F and ||A* A - I||_F are at most tol (1 + ||A||_F^2), a
+    comparison with I.  False once ||A||_F >= 2^500, as the test itself is for
+    tol < 1/sqrt(n): ||A A* - I||_F >= ||A||_F^2 / sqrt(n) - sqrt(n)."""
     _square(a)
-    return _rescaled_test(a, tol, 2, lambda x, c: _gram_defect(x @ x.h, c)) and _rescaled_test(
-        a, tol, 2, lambda x, c: _gram_defect(x.h @ x, c)
-    )
+    if not a.frobenius_norm() < _PRODUCT_SAFE:
+        return False
+    eye = QMatrix.identity(a.rows)
+    bound = tol * (1.0 + _squared_norm(a))
+    return (a @ a.h - eye).frobenius_norm() <= bound and (a.h @ a - eye).frobenius_norm() <= bound
 
 
 def is_positive_semidefinite(a: QMatrix, tol: float = 1e-8) -> bool:
     """Hermitian, with the smallest eigenvalue of chi(A) at least
-    -tol (1 + ||A||_F), safe from overflow."""
-    _square(a)
+    -tol ||A||_F (``within``), safe from overflow."""
+    a = _product_safe(_square(a))
     if not is_hermitian(a, tol):
         return False
-    sym_tol = max(tol, 1e-10)
-    return bool(_rescaled_test(
-        a, tol, 1, lambda x, c: -clinalg.hermitian_eigenvalues(adjoint(x), sym_tol=sym_tol)[0]
-    ))
+    lowest = clinalg.hermitian_eigenvalues(adjoint(a), sym_tol=max(tol, 1e-10))[0]
+    return within(-lowest, tol, a.frobenius_norm())
 
 
 def is_diagonal(a: QMatrix, tol: float = 1e-10) -> bool:
-    _square(a)
+    """The off-diagonal parts' norms sum to at most tol ||A||_F (``within``)."""
+    a = _product_safe(_square(a))
     off1 = a.c1 - np.diag(np.diag(a.c1))
     off2 = a.c2 - np.diag(np.diag(a.c2))
-    scale = 1.0 + a.frobenius_norm()
-    return float(np.linalg.norm(off1) + np.linalg.norm(off2)) <= tol * scale
+    return within(float(np.linalg.norm(off1) + np.linalg.norm(off2)), tol, a.frobenius_norm())
 
 
 # -- standard eigenvalues ----------------------------------------------------

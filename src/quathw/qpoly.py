@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clinalg
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, within
 from .errors import (
     NotDiagonalizableError,
     NotLinearError,
@@ -38,7 +38,6 @@ from .qmatrix import (
     _fold_conjugate_spectrum,
     _groups,
     _normal_basis,
-    _squared_norm,
     adjoint,
     diagonalize,
     inverse,
@@ -108,11 +107,10 @@ def monicize(p: QMatrixPolynomial, tols: Tolerances = DEFAULT_TOLERANCES) -> QMa
     new_coeffs = [lead_inv @ c for c in p.coefficients[:-1]]
     new_coeffs.append(QMatrix.identity(p.size))
     monic = QMatrixPolynomial(tuple(new_coeffs))
+    lead = p.leading.frobenius_norm()
     for b, a in zip(monic.coefficients[:-1], p.coefficients[:-1]):
         defect = (p.leading @ b - a).frobenius_norm()
-        if defect > tols.monic_residual * (1.0 + a.frobenius_norm()) * max(
-            1.0, _squared_norm(p.leading)
-        ):
+        if not within(defect, tols.monic_residual, lead * b.frobenius_norm()):
             raise SingularLeadingCoefficientError(
                 f"monic normalization residual {defect:.3e} is too large; "
                 "leading coefficient is numerically singular"
@@ -211,10 +209,10 @@ def companion_similarity_witness(
     idx = np.concatenate([np.arange(c * n, (c + 1) * n) for c in block_map])
     perm = np.eye(2 * m * n)[idx]
     residual = float(np.linalg.norm(chi_cp - c_pchi[np.ix_(idx, idx)], "fro"))
-    bound = _SIMILARITY_RESIDUAL * (1.0 + float(np.linalg.norm(chi_cp, "fro")))
-    if residual > bound:
+    if not within(residual, _SIMILARITY_RESIDUAL, float(np.linalg.norm(chi_cp, "fro"))):
         raise PairingFailureError(
-            f"companion similarity residual {residual:.3e} exceeds {bound:.3e}"
+            f"companion similarity residual {residual:.3e} exceeds "
+            f"{_SIMILARITY_RESIDUAL:.1e} * ||chi(C_P)||_F"
         )
     return SimilarityWitness(
         permutation_matrix=perm, block_map=block_map, residual=residual
@@ -235,12 +233,12 @@ def standard_eigenvalues_poly(
 
     c_pchi = complex_companion(adjoint_polynomial(monic), pivot_tol=tols.pivot)
     w = clinalg.eigenvalues(c_pchi).values
-    scale = max(comp.matrix.frobenius_norm(), 1.0)
+    scale = comp.matrix.frobenius_norm()
     folded = sorted(
         _fold_conjugate_spectrum(w, scale, tols)[0], key=lambda z: (z.real, z.imag)
     )
     worst = _max_matched_distance(spectrum.values, folded)
-    if worst > 1e-6 * scale:
+    if not within(worst, 1e-6, scale):
         raise PairingFailureError(
             f"adjoint-polynomial route disagrees with the companion route "
             f"(matched distance {worst:.3e})"
@@ -319,11 +317,8 @@ def bound_check_unitary(
 
 
 def _check_real_matrix(c: QMatrix, tol: float) -> np.ndarray:
-    scale = 1.0 + c.frobenius_norm()
-    if (
-        float(np.linalg.norm(c.c1.imag)) > tol * scale
-        or float(np.linalg.norm(c.c2)) > tol * scale
-    ):
+    defect = max(float(np.linalg.norm(c.c1.imag)), float(np.linalg.norm(c.c2)))
+    if not within(defect, tol, c.frobenius_norm()):
         raise PreconditionViolatedError("coefficient is not a real matrix")
     return c.c1.real
 
@@ -368,7 +363,7 @@ def bound_check_doubly_stochastic(
 def _commutator(a: QMatrix, b: QMatrix, tols: Tolerances) -> tuple[float, bool]:
     """||AB - BA||_F and whether it is within the commute tolerance."""
     comm = (a @ b - b @ a).frobenius_norm()
-    return comm, comm <= tols.commute * (1.0 + a.frobenius_norm() * b.frobenius_norm())
+    return comm, within(comm, tols.commute, a.frobenius_norm() * b.frobenius_norm())
 
 
 def bound_check_commuting_disc(

@@ -18,15 +18,20 @@ from quathw import (
     NotNormalError,
     PairingFailureError,
     QMatrix,
+    QMatrixPolynomial,
+    QuathwError,
     ShapeMismatchError,
     assignment_cost,
     condition_number,
+    diagonalizable_companion,
     diagonalize,
     fold_conjugate_assignment,
     hw_check,
     hw_report,
     hw_type_check,
+    is_hermitian,
     is_normal,
+    is_positive_semidefinite,
     min_cost_assignment,
     non_standard_counterexample,
     standard_eigenvalues,
@@ -35,13 +40,15 @@ import quathw.hw as hw_module
 from quathw import clinalg
 from quathw.generators import (
     random_diagonalizable_qmatrix,
+    random_hermitian_qmatrix,
     random_normal_qmatrix,
+    random_psd_qmatrix,
     random_qmatrix,
     random_unitary_qmatrix,
     rng_for,
     upper_half_values,
 )
-from quathw.qmatrix import _COUPLING
+from quathw.qmatrix import _COUPLING, is_diagonal
 
 import oracles
 from oracles import exhaustive_lex_within, exhaustive_min_assignment
@@ -629,11 +636,12 @@ class TestHwTypeCheck:
             hw_type_check(a, b)
 
     def test_random_pairs_hold(self):
+        # the one-sided bound is a theorem for a normal B only
         for trial in range(60):
             rng = rng_for(303, trial)
             n = 2 + trial % 5
             a, _, _ = random_diagonalizable_qmatrix(rng, n)
-            b = random_qmatrix(rng, n)
+            b, _ = random_normal_qmatrix(rng, n)
             rep = hw_type_check(a, b)
             assert rep.holds, f"violated at trial {trial}: lhs={rep.lhs} rhs={rep.rhs}"
 
@@ -672,6 +680,66 @@ def test_scaling_by_a_power_of_two_scales_results_exactly(k):
     for part in ("c1", "c2"):
         assert getattr(got.transform, part).tobytes() == getattr(want.transform, part).tobytes()
     assert (got.residual, got.kappa) == (want.residual, want.kappa)
+
+
+def scale_free_outcomes(kind, seed, n, t):
+    """Every scale-free outcome on the input of ``kind`` drawn from
+    ``seed``, times t: the predicate verdicts, the class and verdict of the
+    pencil (A, I), and ``holds`` of hw and hw-type against a normal B, each
+    as its value or the class of the error it raises.
+
+    ``is_unitary`` is left out: it compares with I, so a scaled input
+    rightly fails it.
+    """
+    rng = rng_for(seed, n)
+    if kind == "jordan":
+        a = rotated_jordan_block(n, 1.5, seed)
+    elif kind == "diagonal":
+        a = QMatrix.diagonal(upper_half_values(rng, n))
+    elif kind == "normal":
+        a, _ = random_normal_qmatrix(rng, n)
+    elif kind == "psd":
+        a = random_psd_qmatrix(rng, n, definite=False)
+    else:
+        a = random_hermitian_qmatrix(rng, n)
+    b, _ = random_normal_qmatrix(rng, n)
+    a, b = a * t, b * t
+
+    def outcome(fn):
+        try:
+            return fn()
+        except QuathwError as exc:
+            return type(exc).__name__
+
+    def pencil():
+        verdict = diagonalizable_companion(QMatrixPolynomial((a, QMatrix.identity(n) * t)))
+        return verdict.klass, verdict.diagonalizable
+
+    return {
+        "hermitian": is_hermitian(a),
+        "normal": is_normal(a),
+        "psd": is_positive_semidefinite(a),
+        "diagonal": is_diagonal(a),
+        "pencil": outcome(pencil),
+        "hw": outcome(lambda: hw_check(a, b).holds),
+        "hw-type": outcome(lambda: hw_type_check(a, b).holds),
+    }
+
+
+@given(
+    kind=st.sampled_from(["normal", "hermitian", "psd", "diagonal", "jordan"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 4),
+    k=st.sampled_from([-40, -20, 20, 40]),
+)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_verdicts_do_not_depend_on_scale(kind, seed, n, k):
+    # structural tests and verdicts accept by one scale-relative rule, so
+    # an input times 2^k gets the verdicts and error classes of the input
+    want = scale_free_outcomes(kind, seed, n, 1.0)
+    assert scale_free_outcomes(kind, seed, n, 2.0**k) == want
+    if kind == "jordan":
+        assert want["normal"] is False and want["hw"] == "NotNormalError"
 
 
 class TestNonStandardCounterexample:

@@ -297,6 +297,54 @@ class TestCli:
             assert code == 2, err
             assert out == "" and err.count("\n") == 1
 
+    def run_scaled(self, tmp_path, capsys, argv, docs, t):
+        """Exit code, stdout and stderr of ``argv`` with each of ``docs``
+        (matrices or polynomials, every coefficient times t) in a file."""
+        paths = []
+        for i, doc in enumerate(docs):
+            if isinstance(doc, QMatrixPolynomial):
+                obj = polynomial_to_obj(QMatrixPolynomial(tuple(c * t for c in doc.coefficients)))
+            else:
+                obj = matrix_to_obj(doc * t)
+            paths.append(write_json(tmp_path, f"doc{i}_{t.hex()}.json", obj))
+        code = main(argv + paths)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    # A = diag(0, 4) and B = [[1, -1], [1, 3]], a Jordan block at 2: lhs 8
+    # against rhs 4, and B is not normal at any scale
+    JORDAN_PAIR = (QMatrix.from_real([[0.0, 0.0], [0.0, 4.0]]),
+                   QMatrix.from_real([[1.0, -1.0], [1.0, 3.0]]))
+
+    def test_hw_refuses_a_scaled_jordan_operand(self, tmp_path, capsys):
+        # an absolute floor accepted B * 2^-20 as normal, and absorbed
+        # lhs - rhs = 3.6e-12 into holds: true at exit 0
+        want = self.run_scaled(tmp_path, capsys, ["hw"], self.JORDAN_PAIR, 1.0)
+        got = self.run_scaled(tmp_path, capsys, ["--format", "machine", "hw"],
+                              self.JORDAN_PAIR, 2.0**-20)
+        assert want[0] == 2 and "second operand is not normal" in want[2]
+        assert got == want
+
+    def test_hw_type_violation_at_every_scale(self, tmp_path, capsys):
+        for t in (1.0, 2.0**-20):
+            code, out, _ = self.run_scaled(
+                tmp_path, capsys, ["--format", "machine", "hw", "--type"], self.JORDAN_PAIR, t
+            )
+            payload = json.loads(out)
+            assert code == 1 and payload["holds"] is False
+            assert payload["lhs"] == pytest.approx(8.0 * t * t, rel=1e-6)
+
+    def test_diag_jordan_pencil_at_every_scale(self, tmp_path, capsys):
+        # (J, I) with J = [[1, 1], [0, 1]]: class none, companion defective;
+        # an absolute floor classed J * 2^-40 diagonal
+        pencil = QMatrixPolynomial(
+            (QMatrix.from_real([[1.0, 1.0], [0.0, 1.0]]), QMatrix.identity(2))
+        )
+        want = self.run_scaled(tmp_path, capsys, ["diag"], [pencil], 1.0)
+        got = self.run_scaled(tmp_path, capsys, ["diag"], [pencil], 2.0**-40)
+        assert want[0] == 2 and "no guaranteeing class" in want[2]
+        assert got == want
+
     def test_identical_files_zero_lhs(self, capsys):
         path = self.fixture("linear_normal_p.json")
         code = main(["--format", "machine", "hw", path, path])
@@ -495,11 +543,12 @@ class TestCli:
         assert {0, 1, 2, 3} <= codes
 
     @pytest.mark.parametrize(
-        "override", ["ineq_abs=nan", "ineq_abs=inf", "tie=inf", "ineq_rel=nan"]
+        "override", ["predicate=nan", "ineq_rel=inf", "tie=inf", "ineq_rel=nan"]
     )
     def test_non_finite_tolerance_rejected(self, override, capsys):
-        # accepted, they give wrong verdicts: ineq_abs=nan and tie=inf make the
-        # equality pair "violated", ineq_abs=inf makes every pair hold
+        # accepted, they give wrong verdicts: predicate=nan makes every operand
+        # "not normal", tie=inf makes the equality pair "violated", and
+        # ineq_rel=inf makes every pair hold
         code = main(
             [
                 "--tol",

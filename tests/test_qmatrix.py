@@ -202,14 +202,20 @@ class TestAdjointIdentitySuite:
 
 def defining_frobenius_norm(c1, c2):
     """sqrt(sum |c1|^2 + sum |c2|^2), and 2^e times the norm of the parts
-    scaled by 2^-e when the squares overflow while the entries are finite."""
+    scaled by 2^-e when the squares overflow or the norm is below 2^-500
+    while the entries are finite and not all 0 (e the binary exponent of
+    the largest entry part; 2^-e in two factors when one would overflow)."""
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(np.sum(np.abs(c1) ** 2) + np.sum(np.abs(c2) ** 2)))
         big = max(float(np.abs(p).max()) for c in (c1, c2) for p in (c.real, c.imag))
-        if norm < math.inf or not big < math.inf:
+        if 2.0**-500 <= norm < math.inf or not 0.0 < big < math.inf:
             return norm
         e = math.frexp(big)[1]
-        return float(np.ldexp(defining_frobenius_norm(c1 * 2.0**-e, c2 * 2.0**-e), e))
+        if -e > 1023:
+            c1, c2 = (c * 2.0**1023 * 2.0 ** (-e - 1023) for c in (c1, c2))
+        else:
+            c1, c2 = c1 * 2.0**-e, c2 * 2.0**-e
+        return float(np.ldexp(defining_frobenius_norm(c1, c2), e))
 
 
 class TestNorms:
@@ -233,6 +239,17 @@ class TestNorms:
                 want = defining_frobenius_norm(a.c1, a.c2)
                 assert a.frobenius_norm().hex() == want.hex()
                 assert a.frobenius_norm().hex() == want.hex()  # the memoised value
+
+    def test_frobenius_norm_keeps_precision_below_2_to_minus_500(self):
+        # the squares underflow there; a norm read as 0 at 2^-540 made the
+        # pairing check of standard_eigenvalues refuse the input
+        a, _ = random_normal_qmatrix(rng_for(1, 0), 4)
+        want = standard_eigenvalues(a).values
+        for k in range(-540, -701, -40):
+            t = 2.0**k
+            assert abs((a * t).frobenius_norm() / t - a.frobenius_norm()) <= 1e-15
+            got = standard_eigenvalues(a * t).values
+            assert max(abs(x / t - y) for x, y in zip(got, want)) <= 1e-14
 
     def test_frobenius_difference_golden(self):
         a = QMatrix.from_complex(np.diag([1 + 1j, 1.0]))
